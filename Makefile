@@ -27,7 +27,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz smoke over the six decoder fuzz targets (matches CI).
+# Short fuzz smoke over the seven decoder fuzz targets (matches CI).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
+	$(GO) test -run=^$$ -fuzz=FuzzReadRound -fuzztime=10s ./internal/transport
 
 # Regenerate the committed serial-vs-parallel datapoint. Run on a
 # multi-core machine at paper scale: make parallel-bench SCALE=1

@@ -91,9 +91,6 @@ func run() error {
 		return err
 	}
 
-	logf := func(format string, args ...interface{}) {
-		logger.Debug(fmt.Sprintf(format, args...))
-	}
 	edge, err := transport.NewEdge(transport.EdgeConfig{
 		Upstream:      func() (net.Conn, error) { return net.Dial("tcp", *upstream) },
 		Codec:         codec,
@@ -103,7 +100,7 @@ func run() error {
 		Shards:        *shards,
 		Checksum:      *checksum,
 		Lossless:      *lossless,
-		Logf:          logf,
+		Logger:        logger,
 		OnPartial: func(round, updates, wireBytes int) {
 			logger.Info("forwarded partial sum",
 				"round", round, "updates", updates, "wire_kb", fmt.Sprintf("%.1f", float64(wireBytes)/1e3))

@@ -151,12 +151,6 @@ func run() error {
 	evalNet := nn.MobileNetV2Mini(spec.Dim, spec.Classes, *seed)
 	x, y := full.Batch(200*(*minCli), full.N)
 
-	// Transport's printf-style diagnostics (joins, leaves, rejected
-	// connections) land at debug level; structured drop events get
-	// their own warn-level record below.
-	logf := func(format string, args ...interface{}) {
-		logger.Debug(fmt.Sprintf(format, args...))
-	}
 	cfg := transport.OrchestratedConfig{
 		Codec:           codec,
 		MinClients:      *minCli,
@@ -168,7 +162,7 @@ func run() error {
 		Shards:          *shards,
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckptEvery,
-		Logf:            logf,
+		Logger:          logger,
 		OnDrop: func(id string, reason orchestrator.DropReason) {
 			logger.Warn("client dropped", "client", id, "reason", reason.String())
 		},

@@ -177,19 +177,28 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 	drops := map[orchestrator.DropReason]int{}
 	var committedRounds, committedFolds int
 
-	// addr is the coordinator's current address; the restart scenario
-	// repoints it when the replacement server binds a fresh port.
+	// addr is the coordinator's current address. listen binds a
+	// listener before publishing its address, so a client never dials
+	// an unset or unbound one; the restart scenario repoints addr when
+	// the replacement server's listener is bound.
 	var addr atomic.Value
-
-	serve := func(srv *transport.Orchestrated) (*model.StateDict, error) {
+	listen := func() (net.Listener, error) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		defer ln.Close()
 		addr.Store(ln.Addr().String())
+		return ln, nil
+	}
+	serve := func(srv *transport.Orchestrated, ln net.Listener) (*model.StateDict, error) {
+		defer ln.Close()
 		return srv.Serve(ln, initial)
 	}
+	firstLn, err := listen()
+	if err != nil {
+		return nil, err
+	}
+	defer firstLn.Close()
 
 	onDrop := func(id string, reason orchestrator.DropReason) {
 		mu.Lock()
@@ -291,7 +300,7 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		final, err = serve(srv)
+		final, err = serve(srv, firstLn)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +315,7 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		if _, err := serve(srvA); !errors.Is(err, transport.ErrAborted) {
+		if _, err := serve(srvA, firstLn); !errors.Is(err, transport.ErrAborted) {
 			return nil, fmt.Errorf("crash phase: err = %v, want ErrAborted", err)
 		}
 		ck, err := orchestrator.LoadCheckpoint(ckPath)
@@ -317,7 +326,11 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		final, err = serve(srvB)
+		lnB, err := listen()
+		if err != nil {
+			return nil, err
+		}
+		final, err = serve(srvB, lnB)
 		if err != nil {
 			return nil, err
 		}

@@ -30,8 +30,7 @@ var (
 	obsBytesRx = obsBytes.With("rx")
 	obsBytesTx = obsBytes.With("tx")
 
-	// Resilient-client retry plane (satellite: these events used to be
-	// silent unless a Logf callback was wired).
+	// Resilient-client retry plane.
 	obsClientSessions = obs.Default.Counter("fedsz_client_sessions_total",
 		"Client sessions started (first connection and every reconnect).")
 	obsClientRetries = obs.Default.Counter("fedsz_client_retries_total",

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"context"
 	"io"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,6 +301,22 @@ func TestOrchestratedStragglerDeadline(t *testing.T) {
 	}
 }
 
+// joinWatcher is a slog.Handler that calls itself on every member-join
+// record and discards everything else.
+type joinWatcher func()
+
+func (joinWatcher) Enabled(context.Context, slog.Level) bool { return true }
+
+func (w joinWatcher) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "member joined" {
+		w()
+	}
+	return nil
+}
+
+func (w joinWatcher) WithAttrs([]slog.Attr) slog.Handler { return w }
+func (w joinWatcher) WithGroup(string) slog.Handler      { return w }
+
 // TestOrchestratedDynamicJoin starts the server with one client and
 // lets a second join mid-training: later rounds must sample both.
 func TestOrchestratedDynamicJoin(t *testing.T) {
@@ -306,19 +324,19 @@ func TestOrchestratedDynamicJoin(t *testing.T) {
 	var sampled []int
 	release := make(chan struct{})
 	// joined closes once the server has registered the second client
-	// ("%s joined" fires after coord.Join); the first client holds its
-	// round-2 update until then, so round 3's sample deterministically
-	// sees both however fast the rounds run.
+	// (the join record is logged after coord.Join); the first client
+	// holds its round-2 update until then, so round 3's sample
+	// deterministically sees both however fast the rounds run.
 	joined := make(chan struct{})
 	var joins atomic.Int64
 	srv, err := NewOrchestrated(OrchestratedConfig{
 		MinClients: 1,
 		Rounds:     6,
-		Logf: func(format string, args ...interface{}) {
-			if format == "%s joined" && joins.Add(1) == 2 {
+		Logger: slog.New(joinWatcher(func() {
+			if joins.Add(1) == 2 {
 				close(joined)
 			}
-		},
+		})),
 		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
 			mu.Lock()
 			sampled = append(sampled, st.Committed)

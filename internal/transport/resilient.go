@@ -45,12 +45,9 @@ type ClientConfig struct {
 	WriteTimeout time.Duration
 	// Seed drives the backoff jitter (same seed, same schedule).
 	Seed int64
-	// Logf, if non-nil, receives retry/reconnect diagnostics.
-	Logf func(format string, args ...interface{})
-	// Logger, if non-nil, receives the same events structured: one
-	// record per retry (with attempt number, cause and delay), per
-	// successful reconnect and per give-up. Logf and Logger are
-	// independent — either, both or neither may be set.
+	// Logger, if non-nil, receives one record per retry (with attempt
+	// number, cause and delay), per successful reconnect and per
+	// give-up.
 	Logger *slog.Logger
 	// Sleep is the delay function (nil = time.Sleep); tests inject a
 	// recorder to run the schedule on a virtual clock.
@@ -79,9 +76,6 @@ func RunResilientClient(cfg ClientConfig) error {
 	}
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 10 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -130,7 +124,6 @@ func RunResilientClient(cfg ClientConfig) error {
 		d := backoffDelay(cfg.BaseBackoff, cfg.MaxBackoff, attempts, rng)
 		obsClientRetries.Inc()
 		obsClientBackoffNs.Add(d.Nanoseconds())
-		cfg.Logf("connection attempt failed (%v); retry %d in %v", err, attempts, d)
 		if cfg.Logger != nil {
 			cfg.Logger.Warn("retrying after failure",
 				"attempt", attempts, "backoff", d, "err", err)

@@ -51,9 +51,11 @@ func (l *pipeListener) Addr() net.Addr {
 
 // runPipeFederation drives one full server/client exchange over
 // net.Pipe with the given codec and returns the final global model.
+// Rounds start once every client has joined, so each round folds all
+// of them.
 func runPipeFederation(t *testing.T, codec fl.Codec, clients, rounds int) *model.StateDict {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Clients: clients, Rounds: rounds, Codec: codec})
+	srv, err := NewOrchestrated(OrchestratedConfig{MinClients: clients, Rounds: rounds, Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,25 +14,30 @@
 // sections as they arrive). Neither side ever materializes the full
 // wire image of an update, and compression time hides behind
 // transmission time — the system-level payoff of the paper's Eqn. 1.
-// The legacy length-prefixed framing (WriteFrame/ReadFrame) remains
-// for whole-buffer tooling.
+//
+// One round engine serves every aggregating tier. The coordinator
+// (Orchestrated) and each regional Edge accept members on a listener,
+// broadcast a round header (trace context, plan prior, error bound)
+// and the global model, and fold what comes back — client updates and
+// nested edges' partial sums alike — into a sink: the coordinator's
+// sink is its sampled orchestrator round, an edge's is its regional
+// aggregator. Clients and edges read that header with one reader.
 package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
-	"fedsz/internal/netsim"
 )
 
 // MsgType identifies a message.
@@ -101,8 +106,10 @@ func (cs *connStream) writeMsg(t MsgType, body func(w io.Writer) error) error {
 }
 
 // readMsgType reads the next message's type byte.
-func (cs *connStream) readMsgType() (MsgType, error) {
-	b, err := cs.r.ReadByte()
+func (cs *connStream) readMsgType() (MsgType, error) { return readMsgType(cs.r) }
+
+func readMsgType(r *bufio.Reader) (MsgType, error) {
+	b, err := r.ReadByte()
 	if err != nil {
 		return 0, fmt.Errorf("transport: read message type: %w", err)
 	}
@@ -179,179 +186,17 @@ func readPrior(r *bufio.Reader) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(r, blob); err != nil {
+	// The buffer grows with the bytes that actually arrive, so a forged
+	// length costs nothing until the peer really sends that much.
+	var blob bytes.Buffer
+	if _, err := io.CopyN(&blob, r, int64(n)); err != nil {
 		return nil, fmt.Errorf("transport: read prior: %w", err)
 	}
-	return blob, nil
+	return blob.Bytes(), nil
 }
 
 // ErrProtocol reports a framing violation.
 var ErrProtocol = errors.New("transport: protocol error")
-
-// WriteFrame writes one frame: type byte, big-endian length, payload.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write payload: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame written by WriteFrame.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("transport: read header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[1:])
-	if size > MaxFrameSize {
-		return 0, nil, fmt.Errorf("%w: frame size %d", ErrProtocol, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("transport: read payload: %w", err)
-	}
-	return MsgType(hdr[0]), payload, nil
-}
-
-// ServerConfig parameterizes a transport server.
-type ServerConfig struct {
-	Clients      int      // connections to wait for
-	Rounds       int      // federated rounds to run
-	Codec        fl.Codec // update codec (uplink)
-	BandwidthBps float64  // per-connection rate limit; 0 = unlimited
-	// OnRound, if non-nil, observes each aggregated global model.
-	OnRound func(round int, global *model.StateDict)
-}
-
-// Server coordinates federated rounds over TCP.
-type Server struct {
-	cfg ServerConfig
-}
-
-// NewServer validates cfg and returns a Server.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Clients <= 0 {
-		return nil, errors.New("transport: need at least one client")
-	}
-	if cfg.Rounds <= 0 {
-		return nil, errors.New("transport: need at least one round")
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = fl.PlainCodec{}
-	}
-	return &Server{cfg: cfg}, nil
-}
-
-// Serve accepts cfg.Clients connections on ln, runs cfg.Rounds
-// federated rounds starting from initial, and returns the final global
-// model. It owns the accepted connections and closes them on return.
-// Each client's uplink decodes as it arrives (one goroutine per
-// connection, each tensor decompressed as its section is received), so
-// decode work across clients overlaps both reception and other
-// clients' training.
-func (s *Server) Serve(ln net.Listener, initial *model.StateDict) (*model.StateDict, error) {
-	streams := make([]*connStream, 0, s.cfg.Clients)
-	defer func() {
-		for _, cs := range streams {
-			_ = cs.conn.Close()
-		}
-	}()
-	for len(streams) < s.cfg.Clients {
-		conn, err := ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("transport: accept: %w", err)
-		}
-		cs := newConnStream(netsim.Limit(conn, s.cfg.BandwidthBps))
-		t, err := cs.readMsgType()
-		if err != nil || t != MsgJoin {
-			_ = conn.Close()
-			return nil, fmt.Errorf("%w: expected join, got %v (err %v)", ErrProtocol, t, err)
-		}
-		streams = append(streams, cs)
-	}
-
-	global := initial
-	for round := 0; round < s.cfg.Rounds; round++ {
-		if ra, ok := s.cfg.Codec.(fl.ReferenceAware); ok {
-			ra.SetReference(global)
-		}
-		// Broadcast the global model, streamed entry by entry — the wire
-		// image is never materialized on either side.
-		for _, cs := range streams {
-			err := cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
-				return core.MarshalStateDictTo(w, global)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		updates := make([]*model.StateDict, len(streams))
-		counts := make([]int, len(streams))
-		errs := make([]error, len(streams))
-		var wg sync.WaitGroup
-		for i, cs := range streams {
-			wg.Add(1)
-			go func(i int, cs *connStream) {
-				defer wg.Done()
-				t, err := cs.readMsgType()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if t != MsgUpdate {
-					errs[i] = fmt.Errorf("%w: expected update, got %v", ErrProtocol, t)
-					return
-				}
-				samples, err := binary.ReadUvarint(cs.r)
-				if err != nil {
-					errs[i] = fmt.Errorf("%w: update sample count", ErrProtocol)
-					return
-				}
-				sd, err := s.cfg.Codec.DecodeFrom(cs.r)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				// The lock-step server has no plan-prior plane; consume
-				// and discard the update's trailer.
-				if _, err := readPrior(cs.r); err != nil {
-					errs[i] = err
-					return
-				}
-				updates[i] = sd
-				counts[i] = int(samples)
-			}(i, cs)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("transport: round %d client %d: %w", round, i, err)
-			}
-		}
-		var err error
-		global, err = fl.FedAvg(updates, counts)
-		if err != nil {
-			return nil, fmt.Errorf("transport: round %d: %w", round, err)
-		}
-		if s.cfg.OnRound != nil {
-			s.cfg.OnRound(round, global)
-		}
-	}
-	for _, cs := range streams {
-		if err := cs.writeMsg(MsgShutdown, nil); err != nil {
-			return nil, err
-		}
-	}
-	return global, nil
-}
 
 // TrainFunc produces a client's update for one round: given the global
 // model it returns the locally trained state dict and sample count.
@@ -391,82 +236,131 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 	if err := write(MsgJoin, nil); err != nil {
 		return 0, err
 	}
-	for round := 0; ; {
-		t, err := cs.readMsgType()
+	for round := 0; ; round++ {
+		h, global, err := readRound(cs.r)
+		if err != nil || global == nil {
+			return round, err
+		}
+		// Leaf clients have no spans, so the trace context goes unused.
+		// The merged population plan prior seeds an adaptive codec's cold
+		// tensors; the round bound retunes a bound-aware one.
+		if pa, ok := codec.(fl.PriorAware); ok && len(h.prior) > 0 {
+			if err := pa.ApplyPriorBytes(h.prior); err != nil {
+				return round, fmt.Errorf("%w: plan prior: %v", ErrProtocol, err)
+			}
+		}
+		if ba, ok := codec.(fl.BoundAware); ok && h.bound > 0 {
+			ba.SetRoundBound(h.bound)
+		}
+		if ra, ok := codec.(fl.ReferenceAware); ok {
+			ra.SetReference(global)
+		}
+		update, samples, err := train(baseRound+round, global)
+		if err != nil {
+			return round, fmt.Errorf("transport: client train: %w", err)
+		}
+		err = write(MsgUpdate, func(w io.Writer) error {
+			var hdr [binary.MaxVarintLen64]byte
+			n := binary.PutUvarint(hdr[:], uint64(samples))
+			if _, err := w.Write(hdr[:n]); err != nil {
+				return fmt.Errorf("transport: write sample count: %w", err)
+			}
+			if _, err := codec.EncodeTo(w, update); err != nil {
+				return err
+			}
+			// Trailing plan-prior blob: the client's locally probed
+			// plans, aggregated fleet-wide by the edge/coordinator
+			// tier. Zero-length for non-adaptive codecs.
+			var prior []byte
+			if pa, ok := codec.(fl.PriorAware); ok {
+				prior = pa.ExportPriorBytes()
+			}
+			return writePrior(w, prior)
+		})
 		if err != nil {
 			return round, err
 		}
+	}
+}
+
+// roundHeader is the directive block that precedes every round's
+// global model. Zero fields are not sent.
+type roundHeader struct {
+	traceID string  // round trace context; spans of every tier share it
+	round   int     // the sender's round number, carried with the trace
+	prior   []byte  // merged population plan prior
+	bound   float64 // the round's error bound
+}
+
+// writeRound broadcasts one round to a member: the header's
+// directives, each its own message, then the streamed global model.
+func writeRound(cs *connStream, h roundHeader, global *model.StateDict) error {
+	if h.traceID != "" {
+		err := cs.writeMsg(MsgRoundTrace, func(w io.Writer) error {
+			return writeRoundTrace(w, h.traceID, h.round)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if len(h.prior) > 0 {
+		err := cs.writeMsg(MsgPlanPrior, func(w io.Writer) error {
+			return writePrior(w, h.prior)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if h.bound > 0 {
+		err := cs.writeMsg(MsgRoundBound, func(w io.Writer) error {
+			var raw [8]byte
+			binary.BigEndian.PutUint64(raw[:], math.Float64bits(h.bound))
+			_, err := w.Write(raw[:])
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
+		return core.MarshalStateDictTo(w, global)
+	})
+}
+
+// readRound reads one writeRound broadcast: any header directives,
+// then the global model. MsgShutdown in place of a round returns a nil
+// model and a nil error.
+func readRound(r *bufio.Reader) (h roundHeader, global *model.StateDict, err error) {
+	for {
+		t, err := readMsgType(r)
+		if err != nil {
+			return h, nil, err
+		}
 		switch t {
 		case MsgShutdown:
-			return round, nil
-		case MsgRoundBound:
-			var raw [8]byte
-			if _, err := io.ReadFull(cs.r, raw[:]); err != nil {
-				return round, fmt.Errorf("%w: round bound: %v", ErrProtocol, err)
-			}
-			bound := math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
-			if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-				return round, fmt.Errorf("%w: round bound %v", ErrProtocol, bound)
-			}
-			if ba, ok := codec.(fl.BoundAware); ok {
-				ba.SetRoundBound(bound)
-			}
+			return h, nil, nil
 		case MsgRoundTrace:
-			// Round trace context: edges tag their regional spans with it;
-			// leaf clients have no spans of their own, so they just drain
-			// the body and move on.
-			if _, _, err := readRoundTrace(cs.r); err != nil {
-				return round, err
+			if h.traceID, h.round, err = readRoundTrace(r); err != nil {
+				return h, nil, err
 			}
 		case MsgPlanPrior:
-			// The merged population plan prior rides ahead of the round's
-			// global model; adaptive codecs seed their cold tensors from
-			// it, everyone else skips the blob.
-			blob, err := readPrior(cs.r)
-			if err != nil {
-				return round, err
+			if h.prior, err = readPrior(r); err != nil {
+				return h, nil, err
 			}
-			if pa, ok := codec.(fl.PriorAware); ok && len(blob) > 0 {
-				if err := pa.ApplyPriorBytes(blob); err != nil {
-					return round, fmt.Errorf("%w: plan prior: %v", ErrProtocol, err)
-				}
+		case MsgRoundBound:
+			var raw [8]byte
+			if _, err := io.ReadFull(r, raw[:]); err != nil {
+				return h, nil, fmt.Errorf("%w: round bound: %v", ErrProtocol, err)
+			}
+			h.bound = math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
+			if h.bound <= 0 || math.IsNaN(h.bound) || math.IsInf(h.bound, 0) {
+				return h, nil, fmt.Errorf("%w: round bound %v", ErrProtocol, h.bound)
 			}
 		case MsgGlobalModel:
-			global, err := core.UnmarshalStateDictFrom(cs.r)
-			if err != nil {
-				return round, err
-			}
-			if ra, ok := codec.(fl.ReferenceAware); ok {
-				ra.SetReference(global)
-			}
-			update, samples, err := train(baseRound+round, global)
-			if err != nil {
-				return round, fmt.Errorf("transport: client train: %w", err)
-			}
-			err = write(MsgUpdate, func(w io.Writer) error {
-				var hdr [binary.MaxVarintLen64]byte
-				n := binary.PutUvarint(hdr[:], uint64(samples))
-				if _, err := w.Write(hdr[:n]); err != nil {
-					return fmt.Errorf("transport: write sample count: %w", err)
-				}
-				if _, err := codec.EncodeTo(w, update); err != nil {
-					return err
-				}
-				// Trailing plan-prior blob: the client's locally probed
-				// plans, aggregated fleet-wide by the edge/coordinator
-				// tier. Zero-length for non-adaptive codecs.
-				var prior []byte
-				if pa, ok := codec.(fl.PriorAware); ok {
-					prior = pa.ExportPriorBytes()
-				}
-				return writePrior(w, prior)
-			})
-			if err != nil {
-				return round, err
-			}
-			round++
+			global, err := core.UnmarshalStateDictFrom(r)
+			return h, global, err
 		default:
-			return round, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
+			return h, nil, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package transport
 
 import (
-	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedsz/internal/core"
 	"fedsz/internal/dataset"
@@ -12,50 +13,11 @@ import (
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
+	"fedsz/internal/orchestrator"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("hello"), make([]byte, 70000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, MsgUpdate, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range payloads {
-		typ, got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != MsgUpdate || len(got) != len(want) {
-			t.Fatalf("frame mismatch: %v %d", typ, len(got))
-		}
-	}
-}
-
-func TestFrameErrors(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Fatal("expected short-header error")
-	}
-	// Oversize frame.
-	var buf bytes.Buffer
-	buf.Write([]byte{byte(MsgUpdate), 0xff, 0xff, 0xff, 0xff})
-	if _, _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("expected frame-size error")
-	}
-	// Truncated payload.
-	buf.Reset()
-	buf.Write([]byte{byte(MsgUpdate), 0, 0, 0, 10, 'x'})
-	if _, _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("expected truncated payload error")
-	}
-}
-
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Clients: 0, Rounds: 1}); err == nil {
-		t.Fatal("expected clients error")
-	}
-	if _, err := NewServer(ServerConfig{Clients: 1, Rounds: 0}); err == nil {
+	if _, err := NewOrchestrated(OrchestratedConfig{Rounds: 0}); err == nil {
 		t.Fatal("expected rounds error")
 	}
 }
@@ -72,7 +34,7 @@ func TestEndToEndFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{Clients: 2, Rounds: 3, Codec: codec})
+	srv, err := NewOrchestrated(OrchestratedConfig{MinClients: 2, Rounds: 3, Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +97,14 @@ func TestEndToEndFederation(t *testing.T) {
 	}
 }
 
-// TestProtocolViolation ensures the server rejects a client that skips
-// the join handshake.
+// TestProtocolViolation ensures the server closes a connection that
+// skips the join handshake and never registers it.
 func TestProtocolViolation(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Clients: 1, Rounds: 1})
+	var rounds atomic.Int64
+	srv, err := NewOrchestrated(OrchestratedConfig{
+		Rounds:  1,
+		OnRound: func(int, *model.StateDict, orchestrator.RoundStats) { rounds.Add(1) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +116,7 @@ func TestProtocolViolation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(ln, model.NewStateDict())
+		_, err := srv.Serve(ln, nn.MobileNetV2Mini(48, 4, 7).StateDict())
 		done <- err
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -158,19 +124,33 @@ func TestProtocolViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, MsgUpdate, []byte("bogus")); err != nil {
+	if _, err := conn.Write(append([]byte{byte(MsgUpdate)}, "bogus"...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
-		t.Fatal("server should reject protocol violation")
+	// The server answers the bogus opener by closing the connection.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server kept the connection open (read %d bytes)", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server did not close the connection")
+	}
+	if m := srv.eng.members(); len(m) != 0 {
+		t.Fatalf("violating connection registered as %v", m)
+	}
+	srv.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if n := rounds.Load(); n != 0 {
+		t.Fatalf("server ran %d rounds with no joined client", n)
 	}
 }
 
 // TestRateLimitedFederation runs one round through a bandwidth-capped
 // connection, verifying the netsim limiter composes with the protocol.
 func TestRateLimitedFederation(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Clients:      1,
+	srv, err := NewOrchestrated(OrchestratedConfig{
+		MinClients:   1,
 		Rounds:       1,
 		BandwidthBps: 200e6, // 200 Mbps: fast enough to keep the test quick
 	})
