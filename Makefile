@@ -27,12 +27,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz smoke over the seven decoder fuzz targets (matches CI).
+# Short fuzz smoke over the eight decoder fuzz targets (matches CI).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFrameIntegrity -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
+	$(GO) test -run=^$$ -fuzz=FuzzHuffmanFill -fuzztime=10s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzReadRound -fuzztime=10s ./internal/transport

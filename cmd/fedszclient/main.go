@@ -59,7 +59,7 @@ func run() error {
 		families  = flag.String("families", "", "adaptive: comma-separated compressor families to adapt over (empty = all registered; see fedszcompress -list)")
 		uplink    = flag.Float64("uplink", 0, "adaptive: modeled uplink bandwidth in Mbps for Eqn. 1 scoring (0 = unknown)")
 		checksum  = flag.Bool("checksum", false, "emit CRC32C-checked frames (must match server)")
-		retries   = flag.Int("retries", 5, "reconnect attempts after a connection failure (-1 = retry forever)")
+		retries   = flag.Int("retries", 5, "reconnect attempts after a connection failure (0 = none, -1 = retry forever)")
 		backoff   = flag.Duration("backoff", 100*time.Millisecond, "base reconnect backoff (doubles per attempt, jittered, capped at 100x)")
 		seed      = flag.Int64("seed", 42, "seed (must match server)")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")

@@ -11,13 +11,17 @@
 // refill/flush: the Writer emits whole 8-byte words once the
 // accumulator fills, and the Reader loads 8 bytes at a time, so the
 // per-bit cost of the entropy stage is a couple of shifts rather than a
-// byte-indexed loop. On top of the classic Read/Write calls the Reader
-// exposes Peek and Skip, sized for a table-driven Huffman decoder: Peek
-// returns the next n bits without consuming them (zero-padded past the
-// end of the stream) and Skip consumes exactly the bits a matched code
-// used. Writers can also be pointed at a caller-owned buffer with
-// ResetBuf, which is what the allocation-free AppendEncode paths in the
-// huffman package build on.
+// byte-indexed loop. The entropy coders do not go through a call per
+// symbol: WriteCodes writes a whole symbol slice through a prefix-code
+// table, and Reader.ReadTable decodes symbols through a Table indexed
+// by the next TableBits bits — two per lookup where both codes fit —
+// each with the accumulator held in locals for the whole loop.
+// ReadTable stops at a slot it cannot resolve and near the end of the
+// stream; the caller finishes those symbols with Peek, which returns
+// the next n bits without consuming them (zero-padded past the end of
+// the stream), and Skip or ReadBit. Writers can also be pointed at a
+// caller-owned buffer with ResetBuf, which is what the allocation-free
+// AppendEncode paths in the huffman package build on.
 package bitstream
 
 import (
@@ -91,6 +95,38 @@ func (w *Writer) WriteUnary(v uint) {
 		v -= 63
 	}
 	w.WriteBits(1<<(v+1)-2, v+1)
+}
+
+// Code is one entry of a prefix-code table: the Len low bits of Bits,
+// written most significant first. Len is at most 32 and no bit of
+// Bits above Len is set.
+type Code struct {
+	Bits uint32
+	Len  uint8
+}
+
+// WriteCodes appends table[s] for every symbol s in syms: the same bits
+// as one WriteBits call per symbol, with the accumulator kept in locals
+// and flushed a 64-bit word at a time. Every symbol must index table.
+func WriteCodes[S int32 | uint8](w *Writer, table []Code, syms []S) {
+	acc, n, buf := w.acc, w.nAcc, w.buf
+	for _, s := range syms {
+		c := table[s]
+		l := uint(c.Len)
+		if n+l < 64 {
+			acc = acc<<l | uint64(c.Bits)
+			n += l
+			continue
+		}
+		// Top the accumulator up to exactly 64 bits and flush it; the
+		// code's rem low bits stay pending (bits of acc above the low n
+		// are never read, so the flushed ones need no clearing).
+		rem := n + l - 64
+		buf = binary.BigEndian.AppendUint64(buf, acc<<(64-n)|uint64(c.Bits)>>rem)
+		acc = uint64(c.Bits)
+		n = rem
+	}
+	w.acc, w.nAcc, w.buf = acc, n, buf
 }
 
 // Len returns the number of bits written so far (excluding any prefix
@@ -259,6 +295,96 @@ func (r *Reader) Skip(n uint) error {
 		r.nAcc -= rem
 	}
 	return nil
+}
+
+// TableBits is the index width of a Table.
+const TableBits = 10
+
+// Table is a prefix-code lookup table indexed by the next TableBits
+// bits of a stream. Slot j holds the symbol whose code those bits start
+// with and the code's length; Len 0 marks a slot the table cannot
+// resolve, such as the prefix of a code longer than TableBits. Set the
+// single-code slots, then call Pair before decoding through the table.
+type Table [1 << TableBits]Entry
+
+// Entry is one Table slot.
+type Entry struct {
+	Sym  int32 // symbol of the code the slot's bits start with
+	Sym2 int32 // symbol of the next code when N is 2
+	Len  uint8 // 0, or the first code's length in [1, TableBits]
+	Bits uint8 // bits the slot's N codes take (set by Pair)
+	N    uint8 // codes decoded per lookup, 1 or 2 (set by Pair)
+}
+
+// Pair completes a table whose slots hold Sym and Len: every slot
+// whose first code leaves room, within the TableBits index bits, for a
+// whole second code records that code too, so one lookup decodes two
+// symbols.
+func (t *Table) Pair() {
+	for j := range t {
+		e := &t[j]
+		e.Sym2, e.Bits, e.N = 0, e.Len, 1
+		if e.Len == 0 {
+			continue
+		}
+		// The second code starts at the bits after the first; it fits
+		// when its length is at most the bits left in the index.
+		next := t[j<<e.Len&(len(t)-1)]
+		if next.Len != 0 && next.Len <= TableBits-e.Len {
+			e.Sym2, e.Bits, e.N = next.Sym, e.Len+next.Len, 2
+		}
+	}
+}
+
+// ReadTable decodes the stream's next symbols into dst through t, one
+// or two per lookup, and returns how many it decoded; it may overwrite
+// dst beyond that count. It consumes exactly their codes and stops
+// when dst is full, at a slot with Len 0, or once fewer than TableBits
+// bits remain, so the caller can finish long codes and the stream's
+// tail with Peek, Skip and ReadBit.
+func (r *Reader) ReadTable(t *Table, dst []int32) int {
+	acc, n, pos, buf := r.acc, r.nAcc, r.pos, r.buf
+	i := 0
+	for i < len(dst) {
+		if n < TableBits {
+			if len(buf)-pos >= 8 {
+				// One 8-byte load: keep the k whole bytes that fit below
+				// the n valid bits, so the bits under the window stay 0.
+				k := (63 - n) >> 3
+				w := binary.BigEndian.Uint64(buf[pos:])
+				acc |= (w &^ (^uint64(0) >> (8 * k & 63))) >> (n & 63)
+				n += 8 * k
+				pos += int(k)
+			} else {
+				for n <= 56 && pos < len(buf) {
+					acc |= uint64(buf[pos]) << (56 - n)
+					n += 8
+					pos++
+				}
+				if n < TableBits {
+					break
+				}
+			}
+		}
+		e := &t[acc>>(64-TableBits)]
+		if e.Len == 0 {
+			break
+		}
+		if i+1 == len(dst) {
+			// Room for one symbol: take the first code only.
+			dst[i] = e.Sym
+			acc <<= e.Len & 63
+			n -= uint(e.Len)
+			i++
+			break
+		}
+		dst[i], dst[i+1] = e.Sym, e.Sym2
+		acc <<= e.Bits & 63
+		n -= uint(e.Bits)
+		i += int(e.N)
+	}
+	r.acc, r.nAcc, r.pos = acc, n, pos
+	return i
 }
 
 // ReadUnary reads a unary code written by WriteUnary.

@@ -274,3 +274,154 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// randomCanonicalTable builds a complete canonical prefix code over n
+// symbols (capped at 2^maxLen) with lengths in [1, maxLen]: it splits
+// random leaves of a one-leaf tree until there are n leaves, then
+// assigns codes in (length, symbol) order like a canonical Huffman
+// coder.
+func randomCanonicalTable(rng *rand.Rand, n int, maxLen uint8) []Code {
+	if maxLen < 16 {
+		n = min(n, 1<<maxLen)
+	}
+	lens := []uint8{0}
+	for len(lens) < n {
+		i := rng.Intn(len(lens))
+		if lens[i] >= maxLen {
+			continue
+		}
+		lens[i]++
+		lens = append(lens, lens[i])
+	}
+	if n == 1 {
+		lens[0] = 1
+	}
+	rng.Shuffle(len(lens), func(i, j int) { lens[i], lens[j] = lens[j], lens[i] })
+	table := make([]Code, n)
+	code, prev := uint32(0), uint8(0)
+	for l := uint8(1); l <= maxLen; l++ {
+		for s, sl := range lens {
+			if sl != l {
+				continue
+			}
+			code <<= l - prev
+			prev = l
+			table[s] = Code{Bits: code, Len: l}
+			code++
+		}
+	}
+	return table
+}
+
+// TestWriteCodesMatchesWriteBits is the differential test of the batched
+// encoder: for random canonical tables with code lengths up to 30 (the
+// Huffman coder's MaxCodeLen) and up to 32, after an arbitrary unaligned
+// prefix, WriteCodes must emit exactly the bytes of one WriteBits call
+// per symbol, for both symbol types.
+func TestWriteCodesMatchesWriteBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 300; iter++ {
+		maxLen := uint8(1 + rng.Intn(32))
+		table := randomCanonicalTable(rng, 1+rng.Intn(256), maxLen)
+		n := len(table) // at most 256, so symbols also fit a byte
+		syms := make([]int32, rng.Intn(3000))
+		bsyms := make([]uint8, len(syms))
+		for i := range syms {
+			syms[i] = int32(rng.Intn(n))
+			bsyms[i] = uint8(syms[i])
+		}
+		prefixBits := uint(rng.Intn(64))
+		prefix := rng.Uint64()
+
+		var want Writer
+		want.ResetBuf([]byte{0xAA})
+		want.WriteBits(prefix, prefixBits)
+		for _, s := range syms {
+			want.WriteBits(uint64(table[s].Bits), uint(table[s].Len))
+		}
+		var got Writer
+		got.ResetBuf([]byte{0xAA})
+		got.WriteBits(prefix, prefixBits)
+		WriteCodes(&got, table, syms)
+		if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("iter %d (maxLen %d, %d symbols): WriteCodes diverged from WriteBits", iter, maxLen, len(syms))
+		}
+		var gotB Writer
+		gotB.ResetBuf([]byte{0xAA})
+		gotB.WriteBits(prefix, prefixBits)
+		WriteCodes(&gotB, table, bsyms)
+		if !bytes.Equal(gotB.Bytes(), want.Bytes()) {
+			t.Fatalf("iter %d: byte-symbol WriteCodes diverged from WriteBits", iter)
+		}
+	}
+}
+
+// TestReadTableDecodesPrefix checks the block decoder on streams of
+// random canonical codes with lengths on both sides of TableBits, after
+// an unaligned start and with uneven block sizes: every call must
+// return the stream's next symbols and leave the reader just past their
+// codes, and it may stop short of a full block only where the table
+// cannot continue — at a code longer than TableBits, or with fewer than
+// TableBits bits left. The reader then still reads the rest of the
+// stream bit-exactly.
+func TestReadTableDecodesPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for iter := 0; iter < 300; iter++ {
+		table := randomCanonicalTable(rng, 1+rng.Intn(200), uint8(1+rng.Intn(16)))
+		var lut Table
+		for s, c := range table {
+			if c.Len > TableBits {
+				continue
+			}
+			base := c.Bits << (TableBits - c.Len)
+			for f := uint32(0); f < 1<<(TableBits-c.Len); f++ {
+				lut[base|f] = Entry{Sym: int32(s), Len: c.Len}
+			}
+		}
+		lut.Pair()
+		syms := make([]int32, rng.Intn(2000))
+		for i := range syms {
+			syms[i] = int32(rng.Intn(len(table)))
+		}
+		skip := uint(rng.Intn(8))
+		var w Writer
+		w.WriteBits(0, skip)
+		WriteCodes(&w, table, syms)
+		r := NewReader(w.Bytes())
+		if err := r.Skip(skip); err != nil {
+			t.Fatal(err)
+		}
+		left := r.BitsRemaining()
+
+		dst := make([]int32, len(syms))
+		got := 0
+		for got < len(syms) {
+			end := min(len(syms), got+1+rng.Intn(300))
+			k := r.ReadTable(&lut, dst[got:end])
+			for i := got; i < got+k; i++ {
+				if dst[i] != syms[i] {
+					t.Fatalf("iter %d: symbol %d = %d, want %d", iter, i, dst[i], syms[i])
+				}
+				left -= int(table[syms[i]].Len)
+			}
+			got += k
+			if r.BitsRemaining() != left {
+				t.Fatalf("iter %d: %d bits left after %d symbols, want %d", iter, r.BitsRemaining(), got, left)
+			}
+			if got < end {
+				if next := table[syms[got]]; next.Len <= TableBits && left >= TableBits {
+					t.Fatalf("iter %d: stopped at symbol %d (code length %d, %d bits left)", iter, got, next.Len, left)
+				}
+				// Finish this code bit by bit, as a caller's slow path would.
+				c := table[syms[got]]
+				v, err := r.ReadBits(uint(c.Len))
+				if err != nil || v != uint64(c.Bits) {
+					t.Fatalf("iter %d: code %d after a stop reads %#x (%v), want %#x", iter, got, v, err, c.Bits)
+				}
+				left -= int(c.Len)
+				dst[got] = syms[got]
+				got++
+			}
+		}
+	}
+}

@@ -68,40 +68,30 @@ func (pred) Compress(data []float32, p lossy.Params) ([]byte, error) {
 		return lossy.WriteHeader(predMagic, 0, eb), nil
 	}
 	q := quant.New(eb, 0)
-	radius := q.Radius()
 
 	signs := make([]byte, (len(data)+7)/8)
-	codes := make([]int32, 0, len(data))
+	codes := make([]int32, len(data))
 	var outliers []float32
 	prev := 0.0 // previous reconstructed magnitude
 	for i, v := range data {
 		if math.Signbit(float64(v)) {
 			signs[i/8] |= 1 << uint(i%8)
 		}
+		// Step mirrors the decoder's float32 magnitudes, so predictions
+		// stay in sync; symbol 0 marks an outlier.
 		mag := math.Abs(float64(v))
-		code, recon, ok := q.Encode(mag, prev)
-		if ok {
-			// The decoder stores magnitudes as float32; mirror that
-			// rounding so predictions stay in sync, and demote to
-			// outlier if rounding breaks the bound.
-			recon = float64(float32(recon))
-			if math.Abs(recon-mag) > eb {
-				ok = false
-			}
-		}
-		if !ok {
-			codes = append(codes, 0)
+		sym, recon := q.Step(mag, prev)
+		codes[i] = sym
+		if sym == 0 {
 			m := float32(mag)
 			outliers = append(outliers, m)
-			prev = float64(m)
-			continue
+			recon = float64(m)
 		}
-		codes = append(codes, int32(code+radius+1))
 		prev = recon
 	}
 
 	payload := make([]byte, 0, binary.MaxVarintLen64*2+len(signs)+len(outliers)*4+len(codes)/2+64)
-	payload = binary.AppendUvarint(payload, uint64(radius))
+	payload = binary.AppendUvarint(payload, uint64(q.Radius()))
 	payload = append(payload, signs...)
 	payload = binary.AppendUvarint(payload, uint64(len(outliers)))
 	for _, m := range outliers {
@@ -164,28 +154,32 @@ func (pred) Decompress(buf []byte) ([]float32, error) {
 
 	q := quant.New(eb, radius)
 	out := make([]float32, count)
+	var blk [128]int32
 	prev := 0.0
 	oi := 0
-	for i := 0; i < count; i++ {
-		code, err := dec.Next()
-		if err != nil {
+	for lo := 0; lo < count; lo += len(blk) {
+		codes := blk[:min(len(blk), count-lo)]
+		if _, err := dec.Fill(codes); err != nil {
 			return nil, fmt.Errorf("%w: pred entropy stage: %v", lossy.ErrCorrupt, err)
 		}
-		var mag float32
-		if code == 0 {
-			if (oi+1)*4 > len(outlierBytes) {
-				return nil, fmt.Errorf("%w: pred outlier underrun", lossy.ErrCorrupt)
+		for j, code := range codes {
+			i := lo + j
+			var mag float32
+			if code == 0 {
+				if (oi+1)*4 > len(outlierBytes) {
+					return nil, fmt.Errorf("%w: pred outlier underrun", lossy.ErrCorrupt)
+				}
+				mag = math.Float32frombits(binary.LittleEndian.Uint32(outlierBytes[oi*4:]))
+				oi++
+			} else {
+				mag = float32(q.Decode(int(code)-radius-1, prev))
 			}
-			mag = math.Float32frombits(binary.LittleEndian.Uint32(outlierBytes[oi*4:]))
-			oi++
-		} else {
-			mag = float32(q.Decode(int(code)-radius-1, prev))
-		}
-		prev = float64(mag)
-		if signs[i/8]>>uint(i%8)&1 == 1 {
-			out[i] = -mag
-		} else {
-			out[i] = mag
+			prev = float64(mag)
+			if signs[i/8]>>uint(i%8)&1 == 1 {
+				out[i] = -mag
+			} else {
+				out[i] = mag
+			}
 		}
 	}
 	return out, nil

@@ -12,18 +12,23 @@
 // # Streaming API and pooling contract
 //
 // The hot paths are allocation-free. AppendEncode and AppendEncodeBytes
-// append a self-describing stream directly to a caller-supplied buffer;
-// all encoder scratch (frequency tables, tree nodes, code tables, the
-// bit writer) is recycled through an internal sync.Pool. On the decode
+// append a self-describing stream directly to a caller-supplied buffer,
+// grown once to the stream's exact size; the symbol bodies are written
+// through the code table with one bitstream.WriteCodes call, and all
+// encoder scratch (frequency tables, tree nodes, code tables, the bit
+// writer) is recycled through an internal sync.Pool. On the decode
 // side, AcquireDecoder returns a pooled streaming Decoder: Open parses
 // a stream's header, Count reports the number of encoded symbols, and
-// Next (symbol at a time) or DecodeAll/DecodeAllBytes (bulk, appending
-// into a caller buffer) consume the body — so a consumer that folds
-// symbols into its own reconstruction loop never materializes a code
-// array at all. Call Release to return a Decoder to the pool; a
+// Fill decodes the body a block at a time into a caller buffer —
+// through the fastBits-wide lookup table while the stream has bits to
+// spare, symbol by symbol for long codes and the stream's tail — so a
+// consumer that folds symbols into its own reconstruction loop never
+// materializes the whole code array. DecodeAll and DecodeAllBytes
+// (appending every remaining symbol to a caller buffer) are thin
+// wrappers over Fill. Call Release to return a Decoder to the pool; a
 // released Decoder keeps no reference to the stream it decoded. The
-// legacy Encode/Decode convenience wrappers remain for callers that
-// want freshly allocated slices.
+// Encode/Decode convenience wrappers remain for callers that want
+// freshly allocated slices.
 //
 // Symbols must fit in an int32; Encode reports an error for symbols
 // outside [0, MaxSymbol].
@@ -34,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,7 +54,7 @@ const MaxCodeLen = 30
 const MaxSymbol = 1<<31 - 1
 
 // fastBits is the width of the single-level fast decode table.
-const fastBits = 10
+const fastBits = bitstream.TableBits
 
 var (
 	errCorrupt   = errors.New("huffman: corrupt stream")
@@ -58,11 +64,6 @@ var (
 // denseLimit caps the alphabet span for which dense (slice-indexed)
 // frequency counting and code lookup are used on the encode hot path.
 const denseLimit = 1 << 20
-
-type symCode struct {
-	code uint32
-	len  uint8
-}
 
 type symFreq struct {
 	sym  int32
@@ -82,7 +83,7 @@ type encoder struct {
 	cnt   [MaxCodeLen + 2]int32
 	nodes []hNode // tree arena (pre-sized: pointers must not move)
 	heap  hHeap   // scratch for huffmanLengths
-	dense []symCode
+	dense []bitstream.Code
 	hdr   []byte
 	bw    bitstream.Writer
 }
@@ -127,17 +128,14 @@ func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
 	} else {
 		e.countSparse(symbols)
 	}
-	return e.encode(dst, len(symbols), func(lookup []symCode, sparse map[int32]symCode) {
+	return e.encode(dst, len(symbols), func(lookup []bitstream.Code, sparse map[int32]bitstream.Code) {
 		if sparse == nil {
-			for _, s := range symbols {
-				c := lookup[s]
-				e.bw.WriteBits(uint64(c.code), uint(c.len))
-			}
+			bitstream.WriteCodes(&e.bw, lookup, symbols)
 			return
 		}
 		for _, s := range symbols {
 			c := sparse[s]
-			e.bw.WriteBits(uint64(c.code), uint(c.len))
+			e.bw.WriteBits(uint64(c.Bits), uint(c.Len))
 		}
 	})
 }
@@ -157,11 +155,8 @@ func AppendEncodeBytes(dst []byte, tokens []byte) []byte {
 		}
 	}
 	e.extractPairs(maxSym)
-	out, _ := e.encode(dst, len(tokens), func(lookup []symCode, _ map[int32]symCode) {
-		for _, t := range tokens {
-			c := lookup[t]
-			e.bw.WriteBits(uint64(c.code), uint(c.len))
-		}
+	out, _ := e.encode(dst, len(tokens), func(lookup []bitstream.Code, _ map[int32]bitstream.Code) {
+		bitstream.WriteCodes(&e.bw, lookup, tokens)
 	})
 	return out
 }
@@ -214,7 +209,7 @@ func (e *encoder) countSparse(symbols []int32) {
 
 // encode runs the shared table-build + serialization once e.pairs is
 // populated, invoking emit to stream the symbol bodies through e.bw.
-func (e *encoder) encode(dst []byte, count int, emit func(lookup []symCode, sparse map[int32]symCode)) ([]byte, error) {
+func (e *encoder) encode(dst []byte, count int, emit func(lookup []bitstream.Code, sparse map[int32]bitstream.Code)) ([]byte, error) {
 	e.buildLengths()
 	e.canonicalOrder()
 
@@ -233,16 +228,16 @@ func (e *encoder) encode(dst []byte, count int, emit func(lookup []symCode, spar
 
 	// Code assignment in canonical order, materialized as a dense
 	// lookup table (or a map for very wide alphabets).
-	var lookup []symCode
-	var sparse map[int32]symCode
+	var lookup []bitstream.Code
+	var sparse map[int32]bitstream.Code
 	if n := len(e.pairs); n > 0 {
 		if top := int(e.pairs[n-1].sym); top < denseLimit {
 			if cap(e.dense) < top+1 {
-				e.dense = make([]symCode, top+1)
+				e.dense = make([]bitstream.Code, top+1)
 			}
 			lookup = e.dense[:top+1]
 		} else {
-			sparse = make(map[int32]symCode, n)
+			sparse = make(map[int32]bitstream.Code, n)
 		}
 	}
 	code := uint32(0)
@@ -251,14 +246,21 @@ func (e *encoder) encode(dst []byte, count int, emit func(lookup []symCode, spar
 		l := e.lens[idx]
 		code <<= uint(l - prevLen)
 		if sparse != nil {
-			sparse[e.pairs[idx].sym] = symCode{code: code, len: l}
+			sparse[e.pairs[idx].sym] = bitstream.Code{Bits: code, Len: l}
 		} else {
-			lookup[e.pairs[idx].sym] = symCode{code: code, len: l}
+			lookup[e.pairs[idx].sym] = bitstream.Code{Bits: code, Len: l}
 		}
 		code++
 		prevLen = l
 	}
 
+	// Grow dst once to the whole stream: header length, header, and the
+	// body's exact bit count rounded up to bytes.
+	bodyBits := int64(0)
+	for i, p := range e.pairs {
+		bodyBits += p.freq * int64(e.lens[i])
+	}
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(e.hdr)+int((bodyBits+7)/8))
 	dst = binary.AppendUvarint(dst, uint64(len(e.hdr)))
 	dst = append(dst, e.hdr...)
 	e.bw.ResetBuf(dst)
@@ -428,8 +430,8 @@ func sortPairs(pairs []symFreq) {
 }
 
 // Decoder is a streaming canonical Huffman decoder: Open parses a
-// stream produced by Encode/AppendEncode, then Next or DecodeAll
-// consume the body without materializing intermediate code arrays.
+// stream produced by Encode/AppendEncode, then Fill (or its wrappers
+// DecodeAll and DecodeAllBytes) consumes the body block by block.
 // Decoders are not safe for concurrent use; acquire one per goroutine.
 type Decoder struct {
 	br        bitstream.Reader
@@ -440,14 +442,9 @@ type Decoder struct {
 	offset    [MaxCodeLen + 2]int32  // index of first symbol of each length in syms
 	countLen  [MaxCodeLen + 2]int32
 	syms      []int32 // symbols in canonical order
-	fast      []fastEntry
+	fast      *bitstream.Table
 	parseSyms []int32 // header parse scratch (symbol order)
 	parseLens []uint8
-}
-
-type fastEntry struct {
-	sym int32
-	len int8 // 0 => slow path
 }
 
 var decoderPool = sync.Pool{
@@ -596,11 +593,9 @@ func (d *Decoder) buildTables() error {
 	// Fast table: every fill of the low bits below a short code maps to
 	// that code. Prefix-freedom keeps the ranges disjoint.
 	if d.fast == nil {
-		d.fast = make([]fastEntry, 1<<fastBits)
+		d.fast = new(bitstream.Table)
 	} else {
-		for i := range d.fast {
-			d.fast[i] = fastEntry{}
-		}
+		*d.fast = bitstream.Table{}
 	}
 	for l := 1; l <= d.maxLen && l <= fastBits; l++ {
 		shift := uint(fastBits - l)
@@ -609,18 +604,45 @@ func (d *Decoder) buildTables() error {
 			sym := d.syms[d.offset[l]+j]
 			base := c << shift
 			for f := uint32(0); f < 1<<shift; f++ {
-				d.fast[base|f] = fastEntry{sym: sym, len: int8(l)}
+				d.fast[base|f] = bitstream.Entry{Sym: sym, Len: uint8(l)}
 			}
 		}
 	}
+	d.fast.Pair()
 	return nil
 }
 
 // Count returns the total number of symbols in the opened stream.
 func (d *Decoder) Count() int { return d.count }
 
-// Next decodes and returns one symbol.
-func (d *Decoder) Next() (int32, error) {
+// Fill decodes len(dst) symbols into dst. It returns how many it
+// decoded and the first error, exactly as a loop calling next for each
+// element of dst would: a corrupt code, a read past the end of the
+// body, or errExhausted once the declared symbol count is used up.
+//
+// Symbols whose codes fit the fast table are decoded in bulk by
+// bitstream.Reader.ReadTable; next finishes long codes and the last
+// bits of the stream, one symbol at a time.
+func (d *Decoder) Fill(dst []int32) (int, error) {
+	i := 0
+	for {
+		k := d.br.ReadTable(d.fast, dst[i:min(len(dst), i+d.remaining)])
+		i += k
+		d.remaining -= k
+		if i == len(dst) {
+			return i, nil
+		}
+		s, err := d.next()
+		if err != nil {
+			return i, err
+		}
+		dst[i] = s
+		i++
+	}
+}
+
+// next decodes and returns one symbol.
+func (d *Decoder) next() (int32, error) {
 	if d.remaining <= 0 {
 		return 0, errExhausted
 	}
@@ -629,11 +651,11 @@ func (d *Decoder) Next() (int32, error) {
 	// bits. Peek zero-pads past the end of the stream; Skip rejects a
 	// match that would consume more bits than remain.
 	e := d.fast[d.br.Peek(fastBits)]
-	if e.len > 0 {
-		if err := d.br.Skip(uint(e.len)); err != nil {
+	if e.Len > 0 {
+		if err := d.br.Skip(uint(e.Len)); err != nil {
 			return 0, err
 		}
-		return e.sym, nil
+		return e.Sym, nil
 	}
 	return d.nextSlow()
 }
@@ -659,30 +681,33 @@ func (d *Decoder) nextSlow() (int32, error) {
 }
 
 // DecodeAll appends every remaining symbol to dst and returns the
-// extended slice.
+// extended slice. On error the slice holds the symbols decoded before
+// it.
 func (d *Decoder) DecodeAll(dst []int32) ([]int32, error) {
-	for d.remaining > 0 {
-		s, err := d.Next()
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, s)
-	}
-	return dst, nil
+	n := len(dst)
+	// Open bounded the count by the body's bit length, so this is at
+	// most 32 bytes per body byte.
+	dst = slices.Grow(dst, d.remaining)[:n+d.remaining]
+	k, err := d.Fill(dst[n:])
+	return dst[:n+k], err
 }
 
 // DecodeAllBytes appends every remaining symbol to dst as bytes,
 // rejecting symbols outside the byte alphabet — the LZH token path.
 func (d *Decoder) DecodeAllBytes(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, d.remaining)
+	var blk [256]int32
 	for d.remaining > 0 {
-		s, err := d.Next()
+		k, err := d.Fill(blk[:min(len(blk), d.remaining)])
+		for _, s := range blk[:k] {
+			if s > 255 {
+				return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, s)
+			}
+			dst = append(dst, byte(s))
+		}
 		if err != nil {
 			return dst, err
 		}
-		if s > 255 {
-			return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, s)
-		}
-		dst = append(dst, byte(s))
 	}
 	return dst, nil
 }
@@ -698,12 +723,12 @@ func Decode(buf []byte) ([]int, error) {
 	if d.count == 0 {
 		return nil, nil
 	}
-	out := make([]int, d.count)
-	for i := range out {
-		s, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
+	syms, err := d.DecodeAll(nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(syms))
+	for i, s := range syms {
 		out[i] = int(s)
 	}
 	return out, nil

@@ -136,7 +136,7 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 // TestStreamingDecoderMatchesDecode is the property test for the
-// streaming API: for arbitrary symbol streams, Open/Next and DecodeAll
+// streaming API: for arbitrary symbol streams, Open/next and DecodeAll
 // must produce exactly what Decode produces, and a pooled decoder must
 // be reusable across streams.
 func TestStreamingDecoderMatchesDecode(t *testing.T) {
@@ -158,7 +158,7 @@ func TestStreamingDecoderMatchesDecode(t *testing.T) {
 		if err != nil || len(want) != n {
 			return false
 		}
-		// Next, one symbol at a time (decoder reused across iterations).
+		// next, one symbol at a time (decoder reused across iterations).
 		if err := d.Open(buf); err != nil {
 			return false
 		}
@@ -166,12 +166,12 @@ func TestStreamingDecoderMatchesDecode(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			s, err := d.Next()
+			s, err := d.next()
 			if err != nil || int(s) != want[i] {
 				return false
 			}
 		}
-		if _, err := d.Next(); err == nil {
+		if _, err := d.next(); err == nil {
 			return false // reading past the declared count must fail
 		}
 		// DecodeAll into a reused buffer.

@@ -22,15 +22,18 @@
 //
 // Both directions run allocation-free beyond their output buffer: all
 // scratch (quantization codes, the payload assembly buffer, block
-// metadata) is pooled, the entropy stage is consumed through the
-// streaming huffman.Decoder fused with the predictor-reconstruction
-// loop, and the lossless wrap appends directly into the output frame.
+// metadata) is pooled and sized once per call, the quantizer runs
+// through the inlined quant.Quantizer.Step kernel, the decoder pulls
+// one block of codes at a time from huffman.Decoder.Fill into a stack
+// buffer and folds it into the predictor-reconstruction loop, and the
+// lossless wrap appends directly into the output frame.
 package sz2
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"fedsz/internal/huffman"
@@ -119,7 +122,6 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 		return lossy.WriteHeader(magic, 0, eb), nil
 	}
 	q := quant.New(eb, 0)
-	radius := q.Radius()
 
 	nBlocks := (len(data) + BlockSize - 1) / BlockSize
 	sc := compPool.Get().(*compScratch)
@@ -127,9 +129,15 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	if cap(sc.modes) < nBlocks {
 		sc.modes = make([]byte, nBlocks)
 	}
+	if cap(sc.codes) < len(data) {
+		sc.codes = make([]int32, len(data))
+	}
+	if cap(sc.coeffs) < 2*nBlocks {
+		sc.coeffs = make([]float32, 0, 2*nBlocks)
+	}
 	modes := sc.modes[:nBlocks]
 	coeffs := sc.coeffs[:0] // a,b pairs for regression blocks
-	codes := sc.codes[:0]
+	codes := sc.codes[:len(data)]
 	outliers := sc.outliers[:0]
 
 	prevRecon := 0.0 // reconstruction of the last value of the previous block
@@ -140,6 +148,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 			hi = len(data)
 		}
 		block := data[lo:hi]
+		blockCodes := codes[lo:hi]
 
 		mode := predLorenzo
 		var a0, a1 float64
@@ -157,38 +166,28 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 
 		recon := prevRecon
 		for i, v := range block {
-			var pred float64
+			pred := recon
 			if mode == predRegress {
 				pred = a0 + a1*float64(i)
-			} else {
-				pred = recon
 			}
-			code, r, ok := q.Encode(float64(v), pred)
-			if ok {
-				// The decoder stores reconstructions as float32; mirror
-				// that rounding here so Lorenzo predictions stay in sync,
-				// and demote to outlier if rounding breaks the bound.
-				r = float64(float32(r))
-				if math.Abs(r-float64(v)) > eb {
-					ok = false
-				}
-			}
-			if !ok {
-				codes = append(codes, 0) // 0 marks an outlier
+			// Step mirrors the decoder's float32 storage, so Lorenzo
+			// predictions stay in sync; symbol 0 marks an outlier.
+			sym, r := q.Step(float64(v), pred)
+			blockCodes[i] = sym
+			if sym == 0 {
 				outliers = append(outliers, v)
-				recon = float64(v)
-				continue
+				r = float64(v)
 			}
-			codes = append(codes, int32(code+radius+1))
 			recon = r
 		}
 		prevRecon = recon
 	}
 
 	// Payload: radius, packed modes, coefficients, outliers, then the
-	// entropy stream appended in place.
-	payload := sc.payload[:0]
-	payload = binary.AppendUvarint(payload, uint64(radius))
+	// entropy stream appended in place (AppendEncode grows the buffer
+	// once more to the stream's exact size).
+	payload := slices.Grow(sc.payload[:0], 3*binary.MaxVarintLen64+(nBlocks+3)/4+4*(len(coeffs)+len(outliers)))
+	payload = binary.AppendUvarint(payload, uint64(q.Radius()))
 	payload = appendPackedModes(payload, modes)
 	payload = binary.AppendUvarint(payload, uint64(len(coeffs)))
 	for _, c := range coeffs {
@@ -200,7 +199,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	}
 	payload, err = huffman.AppendEncode(payload, codes)
 	// Return the (possibly grown) scratch slices to the pool entry.
-	sc.codes, sc.coeffs, sc.outliers, sc.payload = codes[:0], coeffs[:0], outliers[:0], payload[:0]
+	sc.coeffs, sc.outliers, sc.payload = coeffs[:0], outliers[:0], payload[:0]
 	if err != nil {
 		return nil, fmt.Errorf("sz2: entropy stage: %w", err)
 	}
@@ -290,9 +289,10 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 	outlierBytes := payload[:int(nOut)*4]
 	payload = payload[int(nOut)*4:]
 
-	// Entropy stage, streamed: the decoder is fused with the
-	// reconstruction loop below, so no code array is materialized — the
-	// output slice is this function's only sizeable allocation.
+	// Entropy stage, streamed: each block's codes are decoded into a
+	// stack buffer and folded straight into the reconstruction, so no
+	// code array is materialized — the output slice is this function's
+	// only sizeable allocation.
 	dec := huffman.AcquireDecoder()
 	defer dec.Release()
 	if err := dec.Open(payload); err != nil {
@@ -304,6 +304,7 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 
 	q := quant.New(eb, radius)
 	out := make([]float32, count)
+	var blockCodes [BlockSize]int32
 	prevRecon := 0.0
 	ci, oi := 0, 0
 	for b := 0; b < nBlocks; b++ {
@@ -322,12 +323,13 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 			a1 = float64(math.Float32frombits(binary.LittleEndian.Uint32(coeffBytes[ci*4+4:])))
 			ci += 2
 		}
+		codes := blockCodes[:hi-lo]
+		if _, err := dec.Fill(codes); err != nil {
+			return nil, fmt.Errorf("%w: sz2 entropy stage: %v", lossy.ErrCorrupt, err)
+		}
+		dst := out[lo:hi]
 		recon := prevRecon
-		for i := 0; i < hi-lo; i++ {
-			code, err := dec.Next()
-			if err != nil {
-				return nil, fmt.Errorf("%w: sz2 entropy stage: %v", lossy.ErrCorrupt, err)
-			}
+		for i, code := range codes {
 			if code == 0 {
 				if (oi+1)*4 > len(outlierBytes) {
 					return nil, fmt.Errorf("%w: sz2 outlier underrun", lossy.ErrCorrupt)
@@ -343,8 +345,8 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 				}
 				recon = q.Decode(int(code)-radius-1, pred)
 			}
-			out[lo+i] = float32(recon)
-			recon = float64(out[lo+i])
+			dst[i] = float32(recon)
+			recon = float64(dst[i])
 		}
 		prevRecon = recon
 	}

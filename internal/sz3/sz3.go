@@ -12,10 +12,12 @@
 // SZ3 reaches similar ratios to SZ2 on spiky 1-D data at lower
 // throughput (the predictor is costlier and level-ordered).
 //
-// Like sz2, the hot paths are pooled and the decode side fuses the
-// streaming entropy decoder with the interpolation walk, reconstructing
-// directly into the output slice (reconstructions are float32-rounded
-// on both sides, so no float64 shadow array is needed).
+// Like sz2, the hot paths are pooled, the encoder quantizes through
+// quant.Quantizer.Step, and the decode side pulls codes from the
+// entropy decoder a block at a time as the interpolation walk consumes
+// them, reconstructing directly into the output slice
+// (reconstructions are float32-rounded on both sides, so no float64
+// shadow array is needed).
 package sz3
 
 import (
@@ -31,6 +33,10 @@ import (
 )
 
 const magic = "SZ3\x01"
+
+// codeBlock is how many quantization codes the decoder pulls from the
+// entropy stage at a time.
+const codeBlock = 128
 
 // compScratch bundles the encode-side transients, recycled across
 // Compress calls.
@@ -92,7 +98,6 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 		return lossy.WriteHeader(magic, 0, eb), nil
 	}
 	q := quant.New(eb, 0)
-	radius := q.Radius()
 
 	sc := compPool.Get().(*compScratch)
 	defer compPool.Put(sc)
@@ -105,26 +110,18 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	outliers := sc.outliers[:0]
 
 	visit(len(data), func(i, s_ int, cubicOK bool) {
-		pred := s.predict(recon, i, s_, cubicOK)
-		code, r, ok := q.Encode(float64(data[i]), pred)
-		if ok {
-			r = float64(float32(r)) // decoder rounds to float32
-			if math.Abs(r-float64(data[i])) > eb {
-				ok = false
-			}
-		}
-		if !ok {
-			codes = append(codes, 0)
+		sym, r := q.Step(float64(data[i]), s.predict(recon, i, s_, cubicOK))
+		codes = append(codes, sym)
+		if sym == 0 {
 			outliers = append(outliers, data[i])
 			recon[i] = data[i]
 			return
 		}
-		codes = append(codes, int32(code+radius+1))
 		recon[i] = float32(r)
 	})
 
 	payload := sc.payload[:0]
-	payload = binary.AppendUvarint(payload, uint64(radius))
+	payload = binary.AppendUvarint(payload, uint64(q.Radius()))
 	var flags byte
 	if s.linearOnly {
 		flags |= 1
@@ -206,7 +203,8 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 	outlierBytes := payload[:int(nOut)*4]
 	payload = payload[int(nOut)*4:]
 
-	// Entropy stage, streamed and fused with the interpolation walk;
+	// Entropy stage, streamed: codes are decoded one block at a time
+	// into a stack buffer as the interpolation walk consumes them, and
 	// reconstruction happens directly in the output slice.
 	dec := huffman.AcquireDecoder()
 	defer dec.Release()
@@ -221,17 +219,24 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 	q := quant.New(eb, radius)
 	out := make([]float32, count)
 	out[0] = anchor
+	var blk [codeBlock]int32
+	codes, left := blk[:0], count-1
 	oi := 0
 	var decodeErr error
 	visit(count, func(i, s_ int, cubicOK bool) {
 		if decodeErr != nil {
 			return
 		}
-		code, err := dec.Next()
-		if err != nil {
-			decodeErr = fmt.Errorf("%w: sz3 entropy stage: %v", lossy.ErrCorrupt, err)
-			return
+		if len(codes) == 0 {
+			codes = blk[:min(len(blk), left)]
+			left -= len(codes)
+			if _, err := dec.Fill(codes); err != nil {
+				decodeErr = fmt.Errorf("%w: sz3 entropy stage: %v", lossy.ErrCorrupt, err)
+				return
+			}
 		}
+		code := codes[0]
+		codes = codes[1:]
 		if code == 0 {
 			if (oi+1)*4 > len(outlierBytes) {
 				decodeErr = fmt.Errorf("%w: sz3 outlier underrun", lossy.ErrCorrupt)

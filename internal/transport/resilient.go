@@ -27,11 +27,12 @@ type ClientConfig struct {
 	// the client's cumulative count across reconnects, not the
 	// server's round number. Required.
 	Train TrainFunc
-	// MaxRetries is the number of consecutive failed attempts (dial
-	// errors or sessions that die without completing a round) before
-	// giving up (0 = 5; negative = retry forever). A session that
-	// completes at least one round refills the budget: progress means
-	// the federation is alive and the fault transient.
+	// MaxRetries is the number of retries the client makes after
+	// consecutive failed attempts (dial errors or sessions that die
+	// without completing a round) before giving up: 0 gives up after
+	// the first failed attempt, negative retries forever. A session
+	// that completes at least one round refills the budget: progress
+	// means the federation is alive and the fault transient.
 	MaxRetries int
 	// BaseBackoff is the first retry delay (0 = 100ms); each further
 	// consecutive failure doubles it up to MaxBackoff (0 = 10s), with
@@ -67,9 +68,6 @@ func RunResilientClient(cfg ClientConfig) error {
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = fl.PlainCodec{}
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 5
 	}
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 100 * time.Millisecond

@@ -169,6 +169,58 @@ func TestResilientClientGivesUp(t *testing.T) {
 	}
 }
 
+// TestResilientClientRetryBudgetEdges pins the two ends of MaxRetries:
+// 0 is exactly one attempt with no backoff (fedszclient -retries 0),
+// and a negative budget keeps retrying past any fixed count until the
+// session ends for a reason retrying cannot fix.
+func TestResilientClientRetryBudgetEdges(t *testing.T) {
+	dialErr := errors.New("connection refused")
+	dials, sleeps := 0, 0
+	err := RunResilientClient(ClientConfig{
+		Dial:       func() (net.Conn, error) { dials++; return nil, dialErr },
+		Train:      func(int, *model.StateDict) (*model.StateDict, int, error) { return nil, 0, nil },
+		MaxRetries: 0,
+		Sleep:      func(time.Duration) { sleeps++ },
+	})
+	if !errors.Is(err, dialErr) {
+		t.Fatalf("MaxRetries 0: err = %v, want wrapped dial error", err)
+	}
+	if dials != 1 || sleeps != 0 {
+		t.Fatalf("MaxRetries 0: %d dials and %d backoffs, want exactly 1 attempt and no backoff", dials, sleeps)
+	}
+
+	// Forever: 20 refused dials (well past the old default of 5), then
+	// a coordinator speaking garbage ends the run with ErrProtocol.
+	ln := newPipeListener(1)
+	defer ln.Close()
+	var wg sync.WaitGroup
+	scriptedCoordinator(t, ln, &wg, func(cs *connStream) {
+		if !expectJoin(t, cs) {
+			return
+		}
+		_ = cs.writeMsg(MsgType(99), nil)
+	})
+	dials, sleeps = 0, 0
+	err = RunResilientClient(ClientConfig{
+		Dial: func() (net.Conn, error) {
+			if dials++; dials <= 20 {
+				return nil, dialErr
+			}
+			return ln.Dial(), nil
+		},
+		Train:      func(int, *model.StateDict) (*model.StateDict, int, error) { return nil, 0, nil },
+		MaxRetries: -1,
+		Sleep:      func(time.Duration) { sleeps++ },
+	})
+	wg.Wait()
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("MaxRetries -1: err = %v, want ErrProtocol after the retries", err)
+	}
+	if dials != 21 || sleeps != 20 {
+		t.Fatalf("MaxRetries -1: %d dials and %d backoffs, want 21 and 20", dials, sleeps)
+	}
+}
+
 // TestResilientClientProtocolErrorNotRetried: a server speaking
 // garbage must fail the client immediately — redialing will not fix a
 // protocol mismatch.
