@@ -27,7 +27,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz smoke over the eight decoder fuzz targets (matches CI).
+# Short fuzz smoke over the nine decoder fuzz targets (matches CI).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzReadRound -fuzztime=10s ./internal/transport
+	$(GO) test -run=^$$ -fuzz=FuzzDecodePartialFrom -fuzztime=10s ./internal/hier
 
 # Regenerate the committed serial-vs-parallel datapoint. Run on a
 # multi-core machine at paper scale: make parallel-bench SCALE=1

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"fedsz"
 )
@@ -27,7 +28,7 @@ func main() {
 	fmt.Println("running uncompressed baseline...")
 	plainCfg := base
 	plainCfg.Codec = fedsz.PlainCodec{}
-	plain, err := fedsz.RunSim(plainCfg)
+	plain, err := fedsz.RunOrchestratedSim(fedsz.OrchSimConfig{SimConfig: plainCfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,22 +40,26 @@ func main() {
 	}
 	fszCfg := base
 	fszCfg.Codec = codec
-	fsz, err := fedsz.RunSim(fszCfg)
+	fsz, err := fedsz.RunOrchestratedSim(fedsz.OrchSimConfig{SimConfig: fszCfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	// Time on the wire: every round's uploads, one after another over
+	// the shared link (the paper's serial server ingest).
+	var plainWire, fszWire time.Duration
 	fmt.Println("\nround  uncomp-acc  fedsz-acc  uncomp-comm  fedsz-comm  uplink-ratio")
 	for i := range plain.Rounds {
 		p, f := plain.Rounds[i], fsz.Rounds[i]
+		pw, fw := link.TransferTime(p.BytesUplink), link.TransferTime(f.BytesUplink)
+		plainWire += pw
+		fszWire += fw
 		fmt.Printf("%5d  %10.3f  %9.3f  %11s  %10s  %11.2fx\n",
-			i, p.TestAccuracy, f.TestAccuracy,
-			p.CommTime.Round(1e7), f.CommTime.Round(1e7),
+			i, p.TestAccuracy, f.TestAccuracy, pw.Round(1e7), fw.Round(1e7),
 			float64(p.BytesUplink)/float64(f.BytesUplink))
 	}
 	fmt.Printf("\ntotal simulated comm: uncompressed %v vs FedSZ %v (%.1fx less time on the wire)\n",
-		plain.TotalCommTime().Round(1e7), fsz.TotalCommTime().Round(1e7),
-		float64(plain.TotalCommTime())/float64(fsz.TotalCommTime()))
+		plainWire.Round(1e7), fszWire.Round(1e7), float64(plainWire)/float64(fszWire))
 	fmt.Printf("final accuracy: uncompressed %.3f, FedSZ %.3f\n",
 		plain.FinalAccuracy(), fsz.FinalAccuracy())
 

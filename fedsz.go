@@ -41,9 +41,9 @@
 // the zero Setting is the bound-guaranteed default) and constructs a
 // concrete compressor per setting. RegisterFamily plugs new families
 // in; Families lists them; frames recording a family's name decode
-// anywhere the registration ran. RegisterLossy remains as a shim for
-// single-compressor families, and RegisterLossless handles the
-// metadata codecs.
+// anywhere the registration ran. RegisterLossy registers a
+// single-compressor family with no grid, and RegisterLossless handles
+// the metadata codecs.
 //
 // # Adaptive compression
 //
@@ -118,7 +118,6 @@ import (
 	"time"
 
 	"fedsz/internal/adapt"
-	"fedsz/internal/baseline"
 	"fedsz/internal/core"
 	"fedsz/internal/dataset"
 	"fedsz/internal/fl"
@@ -163,32 +162,6 @@ type (
 
 // PlainCodec is the uncompressed-update baseline codec.
 type PlainCodec = fl.PlainCodec
-
-// Baseline compression techniques (paper §III-C survey) and the §VIII
-// "last-step" composition utilities.
-type (
-	// TopK is magnitude-based gradient sparsification.
-	TopK = baseline.TopK
-	// QSGD is stochastic uniform quantization.
-	QSGD = baseline.QSGD
-	// SparseCodec serializes sparsified updates compactly.
-	SparseCodec = baseline.SparseCodec
-)
-
-// NewBaselineCodec stacks a sparsifier/quantizer over an inner codec
-// (nil = plain serialization). Stack over NewCodec(...) to reproduce
-// the paper's §VIII composition.
-//
-// Deprecated: the sparsification and quantization techniques are now
-// first-class compressor families ("topk", "randk", "qsgd") in the
-// typed registry — select them with WithCompressor, restrict an
-// adaptive policy to them via AdaptiveConfig.Families, and pair their
-// unbounded settings with WithErrorFeedback. NewBaselineCodec remains
-// for the paper's §VIII stacked-composition experiments and produces
-// byte-identical output to previous releases.
-func NewBaselineCodec(t baseline.Transform, inner Codec) Codec {
-	return baseline.NewCodec(t, inner)
-}
 
 // NewDeltaCodec transmits client−global deltas through the inner
 // codec. The federation runtimes keep its reference in sync.
@@ -388,7 +361,7 @@ func (d *Decoder) Decode() (*StateDict, error) {
 }
 
 // NewCodec returns a federated-learning update codec backed by the
-// FedSZ pipeline, for use with RunSim or the transport server.
+// FedSZ pipeline, for use with the simulators or the transport server.
 func NewCodec(opts ...Option) (Codec, error) {
 	return fl.NewFedSZCodec(buildConfig(opts))
 }
@@ -574,10 +547,6 @@ func UnmarshalStateDictFrom(r io.Reader) (*StateDict, error) {
 	return core.UnmarshalStateDictFrom(r)
 }
 
-// RunSim executes an in-process federated simulation (FedAvg, local
-// SGD clients, analytic network model).
-func RunSim(cfg SimConfig) (*SimResult, error) { return fl.RunSim(cfg) }
-
 // Orchestration re-exports: the event-driven federated coordination
 // subsystem (client registry, per-round sampling with
 // over-provisioning, straggler deadlines, sync FedAvg rounds and
@@ -633,10 +602,12 @@ func NewAggregator(ref *StateDict, shards int) *Aggregator {
 	return orchestrator.NewAggregator(ref, shards)
 }
 
-// RunOrchestratedSim executes a federated simulation on the
-// orchestrator: sampled sync rounds with straggler deadlines or
-// FedBuff-style async buffering, over a heterogeneous client
-// population, on a virtual clock.
+// RunOrchestratedSim executes an in-process federated simulation
+// (FedAvg, local SGD clients, modeled network) on the orchestrator:
+// sampled sync rounds with straggler deadlines or FedBuff-style async
+// buffering, over a heterogeneous client population, on a virtual
+// clock. OrchSimConfig{SimConfig: cfg} runs every client every round
+// with no deadline.
 func RunOrchestratedSim(cfg OrchSimConfig) (*SimResult, error) {
 	return fl.RunOrchestratedSim(cfg)
 }

@@ -176,12 +176,12 @@ func TestPublicDecision(t *testing.T) {
 	}
 }
 
-func TestPublicRunSim(t *testing.T) {
+func TestPublicOrchestratedSim(t *testing.T) {
 	codec, err := NewCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSim(SimConfig{
+	res, err := RunOrchestratedSim(OrchSimConfig{SimConfig: SimConfig{
 		Clients:          2,
 		Rounds:           2,
 		SamplesPerClient: 30,
@@ -189,7 +189,7 @@ func TestPublicRunSim(t *testing.T) {
 		Codec:            codec,
 		Link:             Link{BandwidthBps: Mbps(10)},
 		Seed:             3,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,33 +201,20 @@ func TestPublicRunSim(t *testing.T) {
 	}
 }
 
-func TestPublicBaselineAndDeltaCodecs(t *testing.T) {
+func TestPublicDeltaCodec(t *testing.T) {
 	inner, err := NewCodec(WithRelBound(1e-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stacked := NewBaselineCodec(TopK{Fraction: 0.2}, inner)
-	sd := BuildStateDict(MobileNetV2(16), 4)
-	buf, st, err := stacked.Encode(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ratio() < 2 {
-		t.Fatalf("stacked ratio %.2f", st.Ratio())
-	}
-	if _, err := stacked.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-
 	delta := NewDeltaCodec(inner)
-	res, err := RunSim(SimConfig{
+	res, err := RunOrchestratedSim(OrchSimConfig{SimConfig: SimConfig{
 		Clients:          2,
 		Rounds:           2,
 		SamplesPerClient: 30,
 		TestSamples:      50,
 		Codec:            delta,
 		Seed:             8,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"fedsz/internal/baseline"
 	"fedsz/internal/core"
+	"fedsz/internal/family"
 	"fedsz/internal/fl"
 	"fedsz/internal/lossless"
 	"fedsz/internal/lossy"
@@ -17,7 +17,7 @@ import (
 // SZ2's hybrid predictor, SZ3's cubic interpolation, the lossless
 // stage inside the EBLCs, the partition threshold, per-tensor vs
 // global bounds, and the §VIII "last-step" composition with the
-// Top-K / QSGD baselines.
+// Top-K / QSGD families.
 func Ablations(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{
@@ -106,35 +106,54 @@ func Ablations(opts Options) (*Table, error) {
 	}
 	addPair("bound-scope", "per-tensor", perTensor, map[string]int{"global": len(global)})
 
-	// 6. Last-step composition (§VIII): baselines alone and stacked
-	// with FedSZ.
+	// 6. Last-step composition (§VIII): sparsify or quantize with a
+	// registered family, then compress with FedSZ. The topk row alone
+	// is that family's own payload in a FedSZ frame.
 	fedszCodec, err := fl.NewFedSZCodec(core.Config{Bound: p})
 	if err != nil {
 		return nil, err
 	}
-	encodeWith := func(c fl.Codec) (int, error) {
+	encodeWith := func(c fl.Codec, sd *model.StateDict) (int, error) {
 		buf, _, err := c.Encode(sd)
 		if err != nil {
 			return 0, err
 		}
 		return len(buf), nil
 	}
-	fedszOnly, err := encodeWith(fedszCodec)
+	fedszOnly, err := encodeWith(fedszCodec, sd)
 	if err != nil {
 		return nil, err
 	}
-	stackVariants := make(map[string]int)
-	for _, c := range []fl.Codec{
-		fl.PlainCodec{},
-		baseline.NewCodec(baseline.TopK{Fraction: 0.1}, baseline.SparseCodec{}),
-		baseline.NewCodec(baseline.TopK{Fraction: 0.1}, fedszCodec),
-		baseline.NewCodec(baseline.QSGD{Bits: 8, Seed: opts.Seed}, fedszCodec),
+	plainBytes, err := encodeWith(fl.PlainCodec{}, sd)
+	if err != nil {
+		return nil, err
+	}
+	topK := core.Selection{Lossy: family.NameTopK, Setting: lossy.Setting{Fraction: 0.1}}
+	topKCodec, err := fl.NewFedSZCodec(core.Config{Bound: p, Selector: fixedSelection(topK)})
+	if err != nil {
+		return nil, err
+	}
+	topKOnly, err := encodeWith(topKCodec, sd)
+	if err != nil {
+		return nil, err
+	}
+	stackVariants := map[string]int{"plain": plainBytes, "topk-0.1": topKOnly}
+	for _, first := range []struct {
+		label string
+		sel   core.Selection
+	}{
+		{"topk-0.1", topK},
+		{"qsgd-8b", core.Selection{Lossy: family.NameQSGD, Setting: lossy.Setting{Bits: 8}}},
 	} {
-		n, err := encodeWith(c)
+		pre, err := roundTripLossy(sd, first.sel, p)
 		if err != nil {
 			return nil, err
 		}
-		stackVariants[c.Name()] = n
+		n, err := encodeWith(fedszCodec, pre)
+		if err != nil {
+			return nil, err
+		}
+		stackVariants[first.label+"+fedsz-sz2"] = n
 	}
 	addPair("last-step-composition", "fedsz-sz2", fedszOnly, stackVariants)
 
@@ -159,4 +178,42 @@ func Ablations(opts Options) (*Table, error) {
 	addPair("metadata-codec", "lossless=blosclz", blosc, llVariants)
 
 	return t, nil
+}
+
+// fixedSelection is a core.Selector that picks the same family setting
+// for every lossy-path tensor.
+type fixedSelection core.Selection
+
+func (s fixedSelection) SelectTensor(string, []float32) core.Selection { return core.Selection(s) }
+func (fixedSelection) SelectLossless() string                          { return "" }
+func (fixedSelection) ObserveMeta([]byte)                              {}
+
+// roundTripLossy returns a copy of sd whose lossy-path tensors (float32
+// weights above the partition threshold) went through sel's family
+// setting and back: what a receiver of that family's payload holds.
+func roundTripLossy(sd *model.StateDict, sel core.Selection, p lossy.Params) (*model.StateDict, error) {
+	fam, err := lossy.FamilyByName(sel.Lossy)
+	if err != nil {
+		return nil, err
+	}
+	c, err := fam.Compressor(sel.Setting)
+	if err != nil {
+		return nil, err
+	}
+	out := sd.Clone()
+	for _, e := range out.Entries() {
+		if e.DType != model.Float32 || !e.IsWeightNamed() || e.NumElements() <= core.DefaultThreshold {
+			continue
+		}
+		buf, err := c.Compress(e.Tensor.Data(), p)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := c.Decompress(buf)
+		if err != nil {
+			return nil, err
+		}
+		copy(e.Tensor.Data(), rec)
+	}
+	return out, nil
 }

@@ -149,7 +149,7 @@ func runConvergence(compressor string, rounds int, opts Options) (*fl.SimResult,
 		cfg.Dataset = dataset.FashionMNIST()
 		quickTrimCounts(&cfg)
 	}
-	return fl.RunSim(cfg)
+	return fl.RunOrchestratedSim(fl.OrchSimConfig{SimConfig: cfg})
 }
 
 // fig5Bounds is the Fig. 5 sweep.
@@ -226,7 +226,7 @@ func runFig5Sim(modelName string, spec dataset.Spec, compressor string, bound fl
 	if opts.Quick {
 		quickTrimCounts(&cfg)
 	}
-	res, err := fl.RunSim(cfg)
+	res, err := fl.RunOrchestratedSim(fl.OrchSimConfig{SimConfig: cfg})
 	if err != nil {
 		return 0, err
 	}
@@ -265,7 +265,7 @@ func Fig6(opts Options) (*Table, error) {
 			if opts.Quick {
 				quickTrimCounts(&cfg)
 			}
-			res, err := fl.RunSim(cfg)
+			res, err := fl.RunOrchestratedSim(fl.OrchSimConfig{SimConfig: cfg})
 			if err != nil {
 				return nil, err
 			}
@@ -401,7 +401,7 @@ func Fig9(opts Options) (*Table, error) {
 		if opts.Quick {
 			quickTrimCounts(&cfg)
 		}
-		res, err := fl.RunSim(cfg)
+		res, err := fl.RunOrchestratedSim(fl.OrchSimConfig{SimConfig: cfg})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -105,7 +105,7 @@ func accuracyFor(modelName, compressor string, bound float64, opts Options) (flo
 	if opts.Quick {
 		quickTrim(&cfg)
 	}
-	res, err := fl.RunSim(cfg)
+	res, err := fl.RunOrchestratedSim(fl.OrchSimConfig{SimConfig: cfg})
 	if err != nil {
 		return 0, err
 	}

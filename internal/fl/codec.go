@@ -21,7 +21,6 @@ type UpdateStats struct {
 	OriginalBytes   int64
 	CompressedBytes int64
 	EncodeTime      time.Duration
-	DecodeTime      time.Duration // filled by the receiver
 }
 
 // Ratio returns the update's compression ratio.
@@ -260,9 +259,6 @@ func (c *FedSZCodec) Name() string {
 	return "fedsz-" + c.pipeline.Config().Lossy
 }
 
-// SetRoundBound implements BoundAware by forwarding a round-level
-// bound directive to the pipeline's adaptive selector; a static
-// pipeline ignores it (its bound is part of the immutable config).
 // ExportPriorBytes implements PriorAware by forwarding to the
 // pipeline's adaptive selector; a static pipeline has no plans to
 // share and returns nil.
@@ -283,6 +279,9 @@ func (c *FedSZCodec) ApplyPriorBytes(raw []byte) error {
 	return nil
 }
 
+// SetRoundBound implements BoundAware by forwarding a round-level
+// bound directive to the pipeline's adaptive selector; a static
+// pipeline ignores it (its bound is part of the immutable config).
 func (c *FedSZCodec) SetRoundBound(bound float64) {
 	if ba, ok := c.pipeline.Config().Selector.(BoundAware); ok {
 		ba.SetRoundBound(bound)

@@ -115,17 +115,13 @@ func TestDeltaFedSZFederation(t *testing.T) {
 	}
 	plainCfg := base
 	plainCfg.Codec = fedszCodec
-	plain, err := RunSim(plainCfg)
+	plain, err := runSync(plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	deltaCfg := base
-	deltaCfg.Codec = NewDeltaCodec(fedszCodec)
-	delta, err := RunSim(deltaCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The pinned "delta" run is this base config with the delta codec.
+	_, delta := runPinned(t, "delta")
 	if diff := math.Abs(plain.FinalAccuracy() - delta.FinalAccuracy()); diff > 0.3 {
 		t.Fatalf("delta+fedsz accuracy %.3f deviates from fedsz %.3f by %.3f",
 			delta.FinalAccuracy(), plain.FinalAccuracy(), diff)

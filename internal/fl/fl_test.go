@@ -145,11 +145,14 @@ func smallSim(codec Codec) SimConfig {
 	}
 }
 
+// runSync runs cfg through the orchestrated simulator in sync mode,
+// with no over-provisioning and no deadline.
+func runSync(cfg SimConfig) (*SimResult, error) {
+	return RunOrchestratedSim(OrchSimConfig{SimConfig: cfg})
+}
+
 func TestRunSimPlain(t *testing.T) {
-	res, err := RunSim(smallSim(PlainCodec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runPinned(t, "plain")
 	if len(res.Rounds) != 8 {
 		t.Fatalf("rounds = %d", len(res.Rounds))
 	}
@@ -174,18 +177,8 @@ func TestRunSimPlain(t *testing.T) {
 func TestRunSimFedSZMatchesPlainAccuracy(t *testing.T) {
 	// The paper's core claim: at REL 1e-2, compressed training tracks
 	// uncompressed training.
-	plain, err := RunSim(smallSim(PlainCodec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := RunSim(smallSim(codec))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, plain := runPinned(t, "plain")
+	_, comp := runPinned(t, "sz2")
 	diff := math.Abs(plain.FinalAccuracy() - comp.FinalAccuracy())
 	if diff > 0.2 {
 		t.Fatalf("accuracy gap %.3f too large: plain %.3f vs fedsz %.3f",

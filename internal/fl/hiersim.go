@@ -3,15 +3,11 @@ package fl
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"fedsz/internal/dataset"
 	"fedsz/internal/hier"
 	"fedsz/internal/netsim"
-	"fedsz/internal/nn"
 	"fedsz/internal/orchestrator"
 	"fedsz/internal/stats"
 )
@@ -81,38 +77,8 @@ func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
 		edges = cfg.Clients
 	}
 
-	full := cfg.Dataset.Generate(cfg.Clients*cfg.SamplesPerClient+cfg.TestSamples, cfg.Seed)
-	trainFrac := float64(cfg.Clients*cfg.SamplesPerClient) / float64(full.N)
-	trainSet, testSet := full.TrainTest(trainFrac, cfg.Seed+1)
-	var shards []*dataset.Dataset
-	if cfg.NonIIDAlpha > 0 {
-		shards = trainSet.SplitDirichlet(cfg.Clients, cfg.NonIIDAlpha, cfg.Seed+2)
-	} else {
-		shards = trainSet.Split(cfg.Clients)
-	}
-
-	profileRNG := stats.NewRNG(cfg.Seed + 4)
-	clients := make([]*orchClient, cfg.Clients)
-	for i := range clients {
-		profile := netsim.ClientProfile{Link: cfg.Link, ComputeFactor: 1}
-		if !cfg.Population.IsZero() {
-			profile = cfg.Population.Sample(profileRNG)
-		}
-		id := fmt.Sprintf("client-%04d", i)
-		codec := cfg.Codec
-		if cfg.ClientCodec != nil {
-			codec = cfg.ClientCodec(id)
-		}
-		clients[i] = &orchClient{
-			id:      id,
-			net:     nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed),
-			data:    shards[i],
-			profile: profile,
-			codec:   codec,
-		}
-	}
-	server := nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed)
-	global := server.StateDict()
+	w := newSimWorld(cfg.OrchSimConfig)
+	clients := w.clients
 
 	// The coordinator registers the EDGES: its fan-in is the region
 	// count, not the population — the whole point of the tier.
@@ -122,7 +88,7 @@ func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
 		Bound:  cfg.Bound,
 		OnDrop: cfg.OnDrop,
 		Seed:   cfg.Seed + 5,
-	}, global)
+	}, w.server.StateDict())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,58 +113,22 @@ func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
 		}
 	}
 
-	testX, testY := testSet.Batch(0, testSet.N)
 	result := &SimResult{Config: cfg.SimConfig}
 	hs := &HierStats{Edges: edges}
 	jitterRNG := stats.NewRNG(cfg.Seed + 6)
 
 	for round := 0; round < cfg.Rounds; round++ {
-		if ra, ok := cfg.Codec.(ReferenceAware); ok {
-			_, g := coord.Global()
-			ra.SetReference(g)
-		}
-		applyRoundBound(coord, cfg.Codec)
 		r, err := coord.StartRound()
 		if err != nil {
 			return nil, nil, err
 		}
 		_, g := coord.Global()
-		if cfg.ClientCodec != nil {
-			for _, c := range clients {
-				if ra, ok := c.codec.(ReferenceAware); ok {
-					ra.SetReference(g)
-				}
-				applyRoundBound(coord, c.codec)
-			}
-		}
-
+		w.handOff(coord, g, clients)
 		// Tier 1 trains everywhere at once (wall clock); the virtual
 		// timeline orders arrivals per region below.
-		type pending struct {
-			c       *orchClient
-			arrival time.Duration
-			out     clientResult
-		}
-		pendings := make([]pending, len(clients))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, c := range clients {
-			wg.Add(1)
-			go func(i int, c *orchClient) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				pendings[i] = pending{c: c, out: c.train(cfg.OrchSimConfig, g, round)}
-			}(i, c)
-		}
-		wg.Wait()
-		for i := range pendings {
-			p := &pendings[i]
-			if p.out.err != nil {
-				return nil, nil, fmt.Errorf("fl: round %d client %s: %w", round, p.c.id, p.out.err)
-			}
-			virtualTrain := cfg.virtualTrainTime(p.out.samples, p.c.profile.ComputeFactor)
-			p.arrival = virtualTrain + p.c.profile.Link.SampleTransferTime(p.out.stats.CompressedBytes, jitterRNG)
+		arrivals, err := w.trainAll(clients, g, round, jitterRNG)
+		if err != nil {
+			return nil, nil, err
 		}
 
 		// Tier 2: every region folds its arrivals in virtual order,
@@ -209,45 +139,35 @@ func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
 		accepted := 0
 		base := 0
 		for e, region := range regions {
-			regional := pendings[base : base+len(region)]
+			regional := arrivals[base : base+len(region)]
 			base += len(region)
-			sort.Slice(regional, func(i, j int) bool { return regional[i].arrival < regional[j].arrival })
+			sort.Slice(regional, func(i, j int) bool { return regional[i].at < regional[j].at })
 
 			agg := orchestrator.NewAggregator(g, cfg.EdgeShards)
 			var regionSpan time.Duration
 			folded := 0
 			for i := range regional {
-				p := &regional[i]
+				a := &regional[i]
 				// Per-region progress guarantee: each region always keeps
 				// its earliest arrival, so a tight deadline can admit one
 				// late straggler per region where the flat simulator keeps
 				// only the single globally earliest (see HierSimConfig).
-				if cfg.RoundDeadline > 0 && p.arrival > cfg.RoundDeadline && folded > 0 {
+				if cfg.RoundDeadline > 0 && a.at > cfg.RoundDeadline && folded > 0 {
 					hs.ClientDrops++
 					m.Dropped++
 					continue
 				}
-				ct, err := agg.Contributor(float64(p.out.samples))
+				ct, err := agg.Contributor(float64(a.out.samples))
 				if err != nil {
 					return nil, nil, fmt.Errorf("fl: round %d region %d: %w", round, e, err)
 				}
-				decodeStart := time.Now()
-				if err := DecodeEntries(cfg.Codec, bytes.NewReader(p.out.payload), ct.Fold); err != nil {
-					ct.AbortReason(orchestrator.DropCorrupt)
-					return nil, nil, fmt.Errorf("fl: round %d decode %s: %w", round, p.c.id, err)
-				}
-				if err := ct.Commit(); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d commit %s: %w", round, p.c.id, err)
+				if err := w.fold(ct, a, &m, round); err != nil {
+					return nil, nil, err
 				}
 				folded++
 				accepted++
-				regionSpan = p.arrival
-				m.TrainTime += p.out.train
-				m.EncodeTime += p.out.stats.EncodeTime
-				m.DecodeTime += time.Since(decodeStart)
-				m.BytesUplink += p.out.stats.CompressedBytes
-				m.OriginalBytes += p.out.stats.OriginalBytes
-				hs.ClientBytes += p.out.stats.CompressedBytes
+				regionSpan = a.at
+				hs.ClientBytes += a.out.stats.CompressedBytes
 			}
 			if mem := agg.MemoryBytes(); mem > hs.PeakEdgeMemory {
 				hs.PeakEdgeMemory = mem
@@ -290,17 +210,10 @@ func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
 		// samples edges here, so the flat metric has no direct analog).
 		m.Participants = accepted
 		m.Dropped += st.Dropped
-		if n := time.Duration(accepted); n > 0 {
-			m.TrainTime /= n
-			m.EncodeTime /= n
-			m.DecodeTime /= n
+		m.perClient(accepted)
+		if err := w.evaluate(&m, g); err != nil {
+			return nil, nil, err
 		}
-		valStart := time.Now()
-		if err := server.LoadStateDict(g); err != nil {
-			return nil, nil, fmt.Errorf("fl: hier load: %w", err)
-		}
-		m.TestAccuracy = server.Accuracy(testX, testY)
-		m.ValidationTime = time.Since(valStart)
 		result.Rounds = append(result.Rounds, m)
 	}
 	return result, hs, nil

@@ -3,9 +3,7 @@ package fl
 import (
 	"testing"
 
-	"fedsz/internal/core"
 	"fedsz/internal/dataset"
-	"fedsz/internal/lossy"
 	"fedsz/internal/netsim"
 )
 
@@ -20,13 +18,13 @@ func TestRunSimClientSampling(t *testing.T) {
 		Link:             netsim.Link{BandwidthBps: netsim.Mbps(10)},
 		Seed:             13,
 	}
-	res, err := RunSim(cfg)
+	res, err := runSync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only two clients upload per round, so uplink bytes reflect two
 	// updates, not six.
-	full, err := RunSim(SimConfig{
+	full, err := runSync(SimConfig{
 		Dataset:          cfg.Dataset,
 		Clients:          6,
 		Rounds:           1,
@@ -46,23 +44,7 @@ func TestRunSimClientSampling(t *testing.T) {
 }
 
 func TestRunSimNonIID(t *testing.T) {
-	codec, err := NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSim(SimConfig{
-		Dataset:          dataset.FashionMNIST(),
-		Clients:          4,
-		Rounds:           5,
-		SamplesPerClient: 80,
-		TestSamples:      120,
-		NonIIDAlpha:      0.3,
-		Codec:            codec,
-		Seed:             21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runPinned(t, "noniid")
 	// Non-IID training is harder but must still beat chance.
 	if res.FinalAccuracy() <= 0.15 {
 		t.Fatalf("non-IID accuracy %.3f did not beat chance", res.FinalAccuracy())

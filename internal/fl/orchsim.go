@@ -5,9 +5,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"fedsz/internal/dataset"
@@ -18,11 +16,10 @@ import (
 	"fedsz/internal/stats"
 )
 
-// OrchSimConfig parameterizes the orchestrator-backed simulation: the
-// event-driven replacement for RunSim's lock-step loop. On top of the
-// base SimConfig it adds the orchestration knobs (sync vs async
-// aggregation, over-provisioned sampling, straggler deadlines) and a
-// heterogeneous client population: each client draws a link/compute
+// OrchSimConfig parameterizes the orchestrator-backed simulation. On
+// top of the base SimConfig it adds the orchestration knobs (sync vs
+// async aggregation, over-provisioned sampling, straggler deadlines)
+// and a heterogeneous client population: each client draws a link/compute
 // profile once at startup, so rounds see the slow-client long tail
 // that dominates deployment-scale FL.
 type OrchSimConfig struct {
@@ -92,39 +89,7 @@ func (cfg OrchSimConfig) virtualTrainTime(samples int, factor float64) time.Dura
 // a virtual clock.
 func RunOrchestratedSim(cfg OrchSimConfig) (*SimResult, error) {
 	cfg.SimConfig = cfg.SimConfig.withDefaults()
-
-	full := cfg.Dataset.Generate(cfg.Clients*cfg.SamplesPerClient+cfg.TestSamples, cfg.Seed)
-	trainFrac := float64(cfg.Clients*cfg.SamplesPerClient) / float64(full.N)
-	trainSet, testSet := full.TrainTest(trainFrac, cfg.Seed+1)
-	var shards []*dataset.Dataset
-	if cfg.NonIIDAlpha > 0 {
-		shards = trainSet.SplitDirichlet(cfg.Clients, cfg.NonIIDAlpha, cfg.Seed+2)
-	} else {
-		shards = trainSet.Split(cfg.Clients)
-	}
-
-	profileRNG := stats.NewRNG(cfg.Seed + 4)
-	clients := make([]*orchClient, cfg.Clients)
-	for i := range clients {
-		profile := netsim.ClientProfile{Link: cfg.Link, ComputeFactor: 1}
-		if !cfg.Population.IsZero() {
-			profile = cfg.Population.Sample(profileRNG)
-		}
-		id := fmt.Sprintf("client-%04d", i)
-		codec := cfg.Codec
-		if cfg.ClientCodec != nil {
-			codec = cfg.ClientCodec(id)
-		}
-		clients[i] = &orchClient{
-			id:      id,
-			net:     nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed),
-			data:    shards[i],
-			profile: profile,
-			codec:   codec,
-		}
-	}
-	server := nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed)
-	global := server.StateDict()
+	w := newSimWorld(cfg)
 
 	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
 		Mode:            cfg.Mode,
@@ -136,149 +101,87 @@ func RunOrchestratedSim(cfg OrchSimConfig) (*SimResult, error) {
 		Bound:           cfg.Bound,
 		OnDrop:          cfg.OnDrop,
 		Seed:            cfg.Seed + 5,
-	}, global)
+	}, w.server.StateDict())
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[string]*orchClient, len(clients))
-	for _, c := range clients {
+	byID := make(map[string]*orchClient, len(w.clients))
+	for _, c := range w.clients {
 		if err := coord.Join(c.id); err != nil {
 			return nil, err
 		}
 		byID[c.id] = c
 	}
 
-	testX, testY := testSet.Batch(0, testSet.N)
 	result := &SimResult{Config: cfg.SimConfig}
 	jitterRNG := stats.NewRNG(cfg.Seed + 6)
-
-	evaluate := func(m *RoundMetrics, g *model.StateDict) error {
-		valStart := time.Now()
-		if err := server.LoadStateDict(g); err != nil {
-			return fmt.Errorf("fl: orchestrated load: %w", err)
-		}
-		m.TestAccuracy = server.Accuracy(testX, testY)
-		m.ValidationTime = time.Since(valStart)
-		return nil
-	}
 
 	if cfg.Mode == orchestrator.ModeAsync {
 		if _, ok := cfg.Codec.(ReferenceAware); ok {
 			return nil, fmt.Errorf("fl: async mode cannot use reference-aware codec %q: commits between a client's encode and the server's decode would desynchronize the reference", cfg.Codec.Name())
 		}
-		for _, c := range clients {
+		for _, c := range w.clients {
 			if _, ok := c.codec.(ReferenceAware); ok {
 				return nil, fmt.Errorf("fl: async mode cannot use reference-aware codec %q for client %s", c.codec.Name(), c.id)
 			}
 		}
-		if err := runAsyncSim(cfg, coord, clients, jitterRNG, evaluate, result); err != nil {
+		if err := runAsyncSim(w, coord, jitterRNG, result); err != nil {
 			return nil, err
 		}
 		return result, nil
 	}
 
 	for round := 0; round < cfg.Rounds; round++ {
-		if ra, ok := cfg.Codec.(ReferenceAware); ok {
-			_, g := coord.Global()
-			ra.SetReference(g)
-		}
-		applyRoundBound(coord, cfg.Codec)
 		r, err := coord.StartRound()
 		if err != nil {
 			return nil, err
 		}
 		_, g := coord.Global()
-		if cfg.ClientCodec != nil {
-			// Per-client encoders receive the round broadcast too — the
-			// in-process analogue of each connection reading MsgRoundBound.
-			for _, id := range r.Participants() {
-				if ra, ok := byID[id].codec.(ReferenceAware); ok {
-					ra.SetReference(g)
-				}
-				applyRoundBound(coord, byID[id].codec)
-			}
-		}
-
-		// Train the over-provisioned participant set in parallel (wall
-		// clock), then place each update on the virtual timeline.
-		type pending struct {
-			c       *orchClient
-			arrival time.Duration
-			out     clientResult
-		}
 		ids := r.Participants()
-		pendings := make([]pending, len(ids))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		trainers := make([]*orchClient, len(ids))
 		for i, id := range ids {
-			wg.Add(1)
-			go func(i int, c *orchClient) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				pendings[i] = pending{c: c, out: c.train(cfg, g, round)}
-			}(i, byID[id])
+			trainers[i] = byID[id]
 		}
-		wg.Wait()
-		for i := range pendings {
-			p := &pendings[i]
-			if p.out.err != nil {
-				return nil, fmt.Errorf("fl: round %d client %s: %w", round, p.c.id, p.out.err)
-			}
-			virtualTrain := cfg.virtualTrainTime(p.out.samples, p.c.profile.ComputeFactor)
-			p.arrival = virtualTrain + p.c.profile.Link.SampleTransferTime(p.out.stats.CompressedBytes, jitterRNG)
+		w.handOff(coord, g, trainers)
+		arrivals, err := w.trainAll(trainers, g, round, jitterRNG)
+		if err != nil {
+			return nil, err
 		}
-		sort.Slice(pendings, func(i, j int) bool { return pendings[i].arrival < pendings[j].arrival })
+		sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
 
 		// Fold arrivals in virtual-time order until the round fills or
 		// the deadline cuts the stragglers. The earliest update is
 		// always taken so a too-tight deadline still makes progress.
 		m := RoundMetrics{Round: round}
-		var roundSpan time.Duration
 		accepted := 0
-		for i := range pendings {
-			p := &pendings[i]
-			late := cfg.RoundDeadline > 0 && p.arrival > cfg.RoundDeadline
+		for i := range arrivals {
+			a := &arrivals[i]
+			late := cfg.RoundDeadline > 0 && a.at > cfg.RoundDeadline
 			if accepted >= r.Target() || (late && accepted > 0) {
 				// Both cases are the virtual-clock deadline cut: the
 				// update arrived after the round no longer wanted it.
-				r.Drop(p.c.id, orchestrator.DropDeadline)
+				r.Drop(a.c.id, orchestrator.DropDeadline)
 				continue
 			}
-			ct, err := r.Contributor(p.c.id, float64(p.out.samples))
+			ct, err := r.Contributor(a.c.id, float64(a.out.samples))
 			if err != nil {
-				return nil, fmt.Errorf("fl: round %d client %s: %w", round, p.c.id, err)
+				return nil, fmt.Errorf("fl: round %d client %s: %w", round, a.c.id, err)
 			}
-			decodeStart := time.Now()
-			if err := DecodeEntries(cfg.Codec, bytes.NewReader(p.out.payload), ct.Fold); err != nil {
-				ct.AbortReason(orchestrator.DropCorrupt)
-				return nil, fmt.Errorf("fl: round %d decode %s: %w", round, p.c.id, err)
-			}
-			if err := ct.Commit(); err != nil {
-				return nil, fmt.Errorf("fl: round %d commit %s: %w", round, p.c.id, err)
+			if err := w.fold(ct, a, &m, round); err != nil {
+				return nil, err
 			}
 			accepted++
-			roundSpan = p.arrival
-			m.TrainTime += p.out.train
-			m.EncodeTime += p.out.stats.EncodeTime
-			m.DecodeTime += time.Since(decodeStart)
-			m.BytesUplink += p.out.stats.CompressedBytes
-			m.OriginalBytes += p.out.stats.OriginalBytes
+			m.CommTime = a.at
 		}
 
 		g, st, err := r.Commit()
 		if err != nil {
 			return nil, fmt.Errorf("fl: round %d: %w", round, err)
 		}
-		m.CommTime = roundSpan
 		m.Participants = st.Sampled
 		m.Dropped = st.Dropped
-		if n := time.Duration(accepted); n > 0 {
-			m.TrainTime /= n
-			m.EncodeTime /= n
-			m.DecodeTime /= n
-		}
-		if err := evaluate(&m, g); err != nil {
+		m.perClient(accepted)
+		if err := w.evaluate(&m, g); err != nil {
 			return nil, err
 		}
 		result.Rounds = append(result.Rounds, m)
@@ -362,14 +265,8 @@ func (h *eventHeap) Pop() interface{} {
 // continuously on its own virtual timeline; updates fold into the
 // buffer in arrival order and each BufferSize-th commit advances the
 // global model and emits one metrics row.
-func runAsyncSim(
-	cfg OrchSimConfig,
-	coord *orchestrator.Coordinator,
-	clients []*orchClient,
-	jitterRNG *rand.Rand,
-	evaluate func(*RoundMetrics, *model.StateDict) error,
-	result *SimResult,
-) error {
+func runAsyncSim(w *simWorld, coord *orchestrator.Coordinator, jitterRNG *rand.Rand, result *SimResult) error {
+	cfg := w.cfg
 	h := &eventHeap{}
 	heap.Init(h)
 
@@ -385,7 +282,7 @@ func runAsyncSim(
 		heap.Push(h, asyncEvent{at: arrival, client: c, version: version, out: out})
 		return nil
 	}
-	for _, c := range clients {
+	for _, c := range w.clients {
 		if err := schedule(c, 0, 0); err != nil {
 			return err
 		}
@@ -410,23 +307,15 @@ func runAsyncSim(
 			return fmt.Errorf("fl: async commit %s: %w", ev.client.id, err)
 		}
 		folded++
-		acc.TrainTime += ev.out.train
-		acc.EncodeTime += ev.out.stats.EncodeTime
-		acc.DecodeTime += time.Since(decodeStart)
-		acc.BytesUplink += ev.out.stats.CompressedBytes
-		acc.OriginalBytes += ev.out.stats.OriginalBytes
+		acc.addClient(&ev.out, time.Since(decodeStart))
 
 		if res.Committed {
 			m := acc
 			m.Round = commits
 			m.CommTime = ev.at
 			m.Participants = res.Stats.Committed
-			if n := time.Duration(folded); n > 0 {
-				m.TrainTime /= n
-				m.EncodeTime /= n
-				m.DecodeTime /= n
-			}
-			if err := evaluate(&m, res.Global); err != nil {
+			m.perClient(folded)
+			if err := w.evaluate(&m, res.Global); err != nil {
 				return err
 			}
 			result.Rounds = append(result.Rounds, m)

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"fedsz/internal/model"
 	"fedsz/internal/netsim"
 	"fedsz/internal/nn"
+	"fedsz/internal/orchestrator"
 	"fedsz/internal/stats"
 )
 
@@ -81,23 +84,47 @@ type RoundMetrics struct {
 	Round        int
 	TestAccuracy float64
 
-	// Wall-clock components, mean per client (paper Fig. 6 breakdown).
+	// Wall-clock components, mean per folded client (paper Fig. 6
+	// breakdown). DecodeTime covers decoding the update and folding it
+	// into the aggregate, which happen entry by entry in one pass.
 	TrainTime      time.Duration
 	EncodeTime     time.Duration
 	DecodeTime     time.Duration
 	ValidationTime time.Duration
 
-	// Simulated network time for the round: the span until the last
-	// update lands on the server's (serial) ingest link.
+	// CommTime is the round's virtual span: from the round's start
+	// until the last folded update (or, with edges, the last partial)
+	// lands, modeled training time included. Each client's upload
+	// occupies its own link.
 	CommTime time.Duration
 
-	BytesUplink   int64 // compressed bytes sent by all clients
+	BytesUplink   int64 // compressed bytes sent by all folded clients
 	OriginalBytes int64 // uncompressed equivalent
 
-	// Orchestrated-path accounting (zero under the legacy RunSim loop):
-	// clients asked to train and stragglers cut from the commit.
+	// Participants counts the clients asked to train (sync) or folded
+	// into the commit (async, hierarchical); Dropped counts the
+	// stragglers cut from the commit.
 	Participants int
 	Dropped      int
+}
+
+// addClient adds one folded client's costs to the round's sums.
+func (m *RoundMetrics) addClient(out *clientResult, decode time.Duration) {
+	m.TrainTime += out.train
+	m.EncodeTime += out.stats.EncodeTime
+	m.DecodeTime += decode
+	m.BytesUplink += out.stats.CompressedBytes
+	m.OriginalBytes += out.stats.OriginalBytes
+}
+
+// perClient turns the summed wall-clock components into means over
+// the n folded clients.
+func (m *RoundMetrics) perClient(n int) {
+	if n > 0 {
+		m.TrainTime /= time.Duration(n)
+		m.EncodeTime /= time.Duration(n)
+		m.DecodeTime /= time.Duration(n)
+	}
 }
 
 // SimResult is a full simulation trace.
@@ -123,22 +150,22 @@ func (r *SimResult) TotalCommTime() time.Duration {
 	return d
 }
 
-// client is one simulated FL participant.
-type client struct {
-	id   int
-	net  *nn.Network
-	data *dataset.Dataset
+// simWorld is what every simulator builds the same way from its
+// config: the client population, the server network that evaluates
+// each committed model, and the test batch.
+type simWorld struct {
+	cfg     OrchSimConfig
+	clients []*orchClient
+	server  *nn.Network
+	testX   *nn.Batch
+	testY   []int
 }
 
-// RunSim executes the federated simulation: per round, every client
-// loads the global model, trains locally, encodes its update; the
-// server decodes, aggregates with FedAvg, and validates. Client compute
-// runs in parallel goroutines; network time is modeled analytically on
-// a virtual clock (the server ingest link is serial, as in the paper's
-// MPI-based emulation).
-func RunSim(cfg SimConfig) (*SimResult, error) {
-	cfg = cfg.withDefaults()
-
+// newSimWorld splits the dataset (IID or Dirichlet label skew) into
+// one shard per client, draws each client's link/compute profile and
+// encode codec, and builds the server and its test batch. cfg must
+// already carry its defaults.
+func newSimWorld(cfg OrchSimConfig) *simWorld {
 	full := cfg.Dataset.Generate(cfg.Clients*cfg.SamplesPerClient+cfg.TestSamples, cfg.Seed)
 	trainFrac := float64(cfg.Clients*cfg.SamplesPerClient) / float64(full.N)
 	trainSet, testSet := full.TrainTest(trainFrac, cfg.Seed+1)
@@ -149,119 +176,116 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		shards = trainSet.Split(cfg.Clients)
 	}
 
-	clients := make([]*client, cfg.Clients)
+	profileRNG := stats.NewRNG(cfg.Seed + 4)
+	clients := make([]*orchClient, cfg.Clients)
 	for i := range clients {
-		clients[i] = &client{
-			id:   i,
-			net:  nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed),
-			data: shards[i],
+		profile := netsim.ClientProfile{Link: cfg.Link, ComputeFactor: 1}
+		if !cfg.Population.IsZero() {
+			profile = cfg.Population.Sample(profileRNG)
+		}
+		id := fmt.Sprintf("client-%04d", i)
+		codec := cfg.Codec
+		if cfg.ClientCodec != nil {
+			codec = cfg.ClientCodec(id)
+		}
+		clients[i] = &orchClient{
+			id:      id,
+			net:     nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed),
+			data:    shards[i],
+			profile: profile,
+			codec:   codec,
 		}
 	}
-	server := nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed)
-	global := server.StateDict()
-
-	testX, testY := testSet.Batch(0, testSet.N)
-	result := &SimResult{Config: cfg}
-
-	type clientOut struct {
-		payload []byte
-		stats   UpdateStats
-		samples int
-		train   time.Duration
-		err     error
+	w := &simWorld{
+		cfg:     cfg,
+		clients: clients,
+		server:  nn.MiniByName(cfg.Model, cfg.Dataset.Dim, cfg.Dataset.Classes, cfg.Seed),
 	}
+	w.testX, w.testY = testSet.Batch(0, testSet.N)
+	return w
+}
 
-	sampler := stats.NewRNG(cfg.Seed + 3)
-	for round := 0; round < cfg.Rounds; round++ {
-		if ra, ok := cfg.Codec.(ReferenceAware); ok {
-			ra.SetReference(global)
+// handOff delivers what a TCP round broadcast carries — the reference
+// model g and the coordinator's scheduled bound — to the shared
+// decode codec and, when ClientCodec gives clients their own
+// encoders, to those of the clients about to train.
+func (w *simWorld) handOff(coord *orchestrator.Coordinator, g *model.StateDict, trainers []*orchClient) {
+	codecs := []Codec{w.cfg.Codec}
+	if w.cfg.ClientCodec != nil {
+		for _, c := range trainers {
+			codecs = append(codecs, c.codec)
 		}
-		participants := clients
-		if cfg.ClientsPerRound > 0 && cfg.ClientsPerRound < len(clients) {
-			perm := sampler.Perm(len(clients))[:cfg.ClientsPerRound]
-			participants = make([]*client, len(perm))
-			for i, p := range perm {
-				participants[i] = clients[p]
-			}
-		}
-		outs := make([]clientOut, len(participants))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, c := range participants {
-			wg.Add(1)
-			go func(i int, c *client) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				o := &outs[i]
-				if o.err = c.net.LoadStateDict(global); o.err != nil {
-					return
-				}
-				start := time.Now()
-				for ep := 0; ep < cfg.LocalEpochs; ep++ {
-					c.data.Shuffle(cfg.Seed + int64(round*1000+ep))
-					for lo := 0; lo+cfg.BatchSize <= c.data.N; lo += cfg.BatchSize {
-						x, y := c.data.Batch(lo, lo+cfg.BatchSize)
-						c.net.TrainBatch(x, y, cfg.LR, cfg.Momentum)
-					}
-				}
-				o.train = time.Since(start)
-				o.samples = c.data.N
-				o.payload, o.stats, o.err = cfg.Codec.Encode(c.net.StateDict())
-			}(i, c)
-		}
-		wg.Wait()
-
-		m := RoundMetrics{Round: round}
-		var clock netsim.VirtualClock
-		updates := make([]*model.StateDict, len(participants))
-		counts := make([]int, len(participants))
-		for i := range outs {
-			o := &outs[i]
-			if o.err != nil {
-				return nil, fmt.Errorf("fl: round %d client %d: %w", round, i, o.err)
-			}
-			// Serial server ingest: each upload occupies the link after
-			// the previous one finishes (MPI-style emulation, §VI-C).
-			clock.Advance(cfg.Link.TransferTime(o.stats.CompressedBytes))
-
-			decodeStart := time.Now()
-			sd, err := cfg.Codec.Decode(o.payload)
-			if err != nil {
-				return nil, fmt.Errorf("fl: round %d decode client %d: %w", round, i, err)
-			}
-			o.stats.DecodeTime = time.Since(decodeStart)
-
-			updates[i] = sd
-			counts[i] = o.samples
-			m.TrainTime += o.train
-			m.EncodeTime += o.stats.EncodeTime
-			m.DecodeTime += o.stats.DecodeTime
-			m.BytesUplink += o.stats.CompressedBytes
-			m.OriginalBytes += o.stats.OriginalBytes
-		}
-		m.CommTime = clock.Now()
-		m.TrainTime /= time.Duration(len(participants))
-		m.EncodeTime /= time.Duration(len(participants))
-		m.DecodeTime /= time.Duration(len(participants))
-
-		agg, err := FedAvg(updates, counts)
-		if err != nil {
-			return nil, fmt.Errorf("fl: round %d: %w", round, err)
-		}
-		global = agg
-
-		valStart := time.Now()
-		if err := server.LoadStateDict(global); err != nil {
-			return nil, fmt.Errorf("fl: round %d load: %w", round, err)
-		}
-		m.TestAccuracy = server.Accuracy(testX, testY)
-		m.ValidationTime = time.Since(valStart)
-
-		m.Round = round
-		result.Rounds = append(result.Rounds, m)
 	}
-	return result, nil
+	for _, c := range codecs {
+		if ra, ok := c.(ReferenceAware); ok {
+			ra.SetReference(g)
+		}
+		applyRoundBound(coord, c)
+	}
+}
+
+// arrival is one client's trained update placed on the virtual
+// timeline.
+type arrival struct {
+	c   *orchClient
+	at  time.Duration
+	out clientResult
+}
+
+// trainAll trains trainers from g in parallel on the wall clock,
+// GOMAXPROCS at a time, then places each update on the virtual
+// timeline (modeled training plus its link's transfer time) in
+// trainer order, so jitter draws are deterministic under a seed.
+func (w *simWorld) trainAll(trainers []*orchClient, g *model.StateDict, round int, jitterRNG *rand.Rand) ([]arrival, error) {
+	out := make([]arrival, len(trainers))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, c := range trainers {
+		wg.Add(1)
+		go func(i int, c *orchClient) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			out[i] = arrival{c: c, out: c.train(w.cfg, g, round)}
+		}(i, c)
+	}
+	wg.Wait()
+	for i := range out {
+		a := &out[i]
+		if a.out.err != nil {
+			return nil, fmt.Errorf("fl: round %d client %s: %w", round, a.c.id, a.out.err)
+		}
+		virtualTrain := w.cfg.virtualTrainTime(a.out.samples, a.c.profile.ComputeFactor)
+		a.at = virtualTrain + a.c.profile.Link.SampleTransferTime(a.out.stats.CompressedBytes, jitterRNG)
+	}
+	return out, nil
+}
+
+// fold decodes a's update into ct entry by entry, commits it, and adds
+// the client's costs to m.
+func (w *simWorld) fold(ct *orchestrator.Contributor, a *arrival, m *RoundMetrics, round int) error {
+	decodeStart := time.Now()
+	if err := DecodeEntries(w.cfg.Codec, bytes.NewReader(a.out.payload), ct.Fold); err != nil {
+		ct.AbortReason(orchestrator.DropCorrupt)
+		return fmt.Errorf("fl: round %d decode %s: %w", round, a.c.id, err)
+	}
+	if err := ct.Commit(); err != nil {
+		return fmt.Errorf("fl: round %d commit %s: %w", round, a.c.id, err)
+	}
+	m.addClient(&a.out, time.Since(decodeStart))
+	return nil
+}
+
+// evaluate loads the committed model g into the server and records
+// its test accuracy and the validation time in m.
+func (w *simWorld) evaluate(m *RoundMetrics, g *model.StateDict) error {
+	valStart := time.Now()
+	if err := w.server.LoadStateDict(g); err != nil {
+		return fmt.Errorf("fl: load committed model: %w", err)
+	}
+	m.TestAccuracy = w.server.Accuracy(w.testX, w.testY)
+	m.ValidationTime = time.Since(valStart)
+	return nil
 }
 
 // ScalingPoint is one (workers, time) sample of the Fig. 9 experiments.

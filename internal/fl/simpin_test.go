@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedsz/internal/core"
@@ -131,6 +132,39 @@ var simPins = []struct {
 	},
 }
 
+// pinnedRun is one pinned configuration's simulation, run once per
+// test binary: the tests that check other properties of these runs
+// share it instead of repeating the training.
+type pinnedRun struct {
+	once sync.Once
+	cfg  SimConfig
+	res  *SimResult
+	err  error
+}
+
+var pinnedRuns sync.Map // name → *pinnedRun
+
+// runPinned returns the config and result of the pinned configuration
+// called name.
+func runPinned(t *testing.T, name string) (SimConfig, *SimResult) {
+	t.Helper()
+	v, _ := pinnedRuns.LoadOrStore(name, &pinnedRun{})
+	r := v.(*pinnedRun)
+	r.once.Do(func() {
+		r.err = fmt.Errorf("no pinned configuration %q", name)
+		for _, pc := range simPins {
+			if pc.name == name {
+				r.cfg = pc.cfg(t)
+				r.res, r.err = runSync(r.cfg)
+			}
+		}
+	})
+	if r.err != nil || r.res == nil {
+		t.Fatalf("pinned run %s: %v", name, r.err)
+	}
+	return r.cfg, r.res
+}
+
 func pinSZ2(t *testing.T) Codec {
 	t.Helper()
 	c, err := NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-2)})
@@ -179,33 +213,21 @@ func formatPins(ps []pinnedRound) string {
 
 // TestSimPinned pins the simulation's per-round outcomes on seven
 // configurations: plain and sz2 updates, non-IID label skew, the three
-// paper architectures on CIFAR-10, and the delta codec.
+// paper architectures on CIFAR-10, and the delta codec. The values were
+// captured from the lockstep loop the orchestrated simulator replaced,
+// which matched it bit for bit at full participation with no deadline.
 func TestSimPinned(t *testing.T) {
-	arms := []struct {
-		name string
-		run  func(SimConfig) (*SimResult, error)
-	}{
-		{"RunSim", RunSim},
-		{"RunOrchestratedSim", func(cfg SimConfig) (*SimResult, error) {
-			return RunOrchestratedSim(OrchSimConfig{SimConfig: cfg})
-		}},
-	}
 	for _, pc := range simPins {
 		t.Run(pc.name, func(t *testing.T) {
-			for _, arm := range arms {
-				cfg := pc.cfg(t)
-				res, err := arm.run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", arm.name, err)
-				}
-				got := pinRounds(t, cfg, res)
-				if len(got) != len(pc.want) {
-					t.Fatalf("%s: %d rounds, want %d; got:\n%s", arm.name, len(got), len(pc.want), formatPins(got))
-				}
-				for i := range got {
-					if got[i] != pc.want[i] {
-						t.Fatalf("%s: round %d = %+v, want %+v; got:\n%s", arm.name, i, got[i], pc.want[i], formatPins(got))
-					}
+			t.Parallel()
+			cfg, res := runPinned(t, pc.name)
+			got := pinRounds(t, cfg, res)
+			if len(got) != len(pc.want) {
+				t.Fatalf("%d rounds, want %d; got:\n%s", len(got), len(pc.want), formatPins(got))
+			}
+			for i := range got {
+				if got[i] != pc.want[i] {
+					t.Fatalf("round %d = %+v, want %+v; got:\n%s", i, got[i], pc.want[i], formatPins(got))
 				}
 			}
 		})

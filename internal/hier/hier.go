@@ -226,7 +226,10 @@ func decodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	}
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("hier: read partial length: %w", err)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("hier: read partial length: %w", err)
+		}
+		return nil, fmt.Errorf("%w: body size: %v", ErrCorruptPartial, err)
 	}
 	if size > maxPartialSize {
 		return nil, fmt.Errorf("%w: body size %d", ErrCorruptPartial, size)
@@ -286,8 +289,10 @@ func parseBody(body []byte) (*orchestrator.Partial, error) {
 	if math.IsNaN(p.TotalWeight) || math.IsInf(p.TotalWeight, 0) || p.TotalWeight < 0 {
 		return nil, fmt.Errorf("%w: total weight %v", ErrCorruptPartial, p.TotalWeight)
 	}
+	// Counts and lengths are checked against the bytes left in the
+	// body before anything is allocated for them.
 	nEntries, err := binary.ReadUvarint(br)
-	if err != nil || nEntries > maxPartialSize/8 {
+	if err != nil || nEntries > uint64(br.Len())/minEntrySize {
 		return nil, fmt.Errorf("%w: entry count", ErrCorruptPartial)
 	}
 	p.Entries = make([]orchestrator.PartialEntry, 0, nEntries)
@@ -299,7 +304,7 @@ func parseBody(body []byte) (*orchestrator.Partial, error) {
 		p.Entries = append(p.Entries, e)
 	}
 	priorLen, err := binary.ReadUvarint(br)
-	if err != nil || priorLen > maxPartialSize {
+	if err != nil || priorLen > uint64(br.Len()) {
 		return nil, fmt.Errorf("%w: prior length", ErrCorruptPartial)
 	}
 	if priorLen > 0 {
@@ -317,7 +322,7 @@ func parseBody(body []byte) (*orchestrator.Partial, error) {
 		}
 		return nil, fmt.Errorf("%w: span length", ErrCorruptPartial)
 	}
-	if spanLen > maxPartialSize {
+	if spanLen > uint64(br.Len()) {
 		return nil, fmt.Errorf("%w: span length %d", ErrCorruptPartial, spanLen)
 	}
 	if spanLen > 0 {
@@ -328,6 +333,10 @@ func parseBody(body []byte) (*orchestrator.Partial, error) {
 	}
 	return p, nil
 }
+
+// minEntrySize is the fewest body bytes one entry can take: a name
+// length, a dtype and an element count or rank.
+const minEntrySize = 3
 
 // parseEntry decodes one PartialEntry.
 func parseEntry(br *bytes.Reader) (orchestrator.PartialEntry, error) {
@@ -349,7 +358,7 @@ func parseEntry(br *bytes.Reader) (orchestrator.PartialEntry, error) {
 	switch e.DType {
 	case model.Int64:
 		n, err := binary.ReadUvarint(br)
-		if err != nil || n > maxPartialSize/8 {
+		if err != nil || n > uint64(br.Len())/8 {
 			return e, fmt.Errorf("%w: int entry length", ErrCorruptPartial)
 		}
 		e.Ints = make([]int64, n)
@@ -369,12 +378,12 @@ func parseEntry(br *bytes.Reader) (orchestrator.PartialEntry, error) {
 		elems := uint64(1)
 		for d := range e.Shape {
 			v, err := binary.ReadUvarint(br)
-			if err != nil || v == 0 || v > maxPartialSize/8 {
+			if err != nil || v == 0 || v > uint64(br.Len())/8 {
 				return e, fmt.Errorf("%w: entry shape", ErrCorruptPartial)
 			}
 			e.Shape[d] = int(v)
 			elems *= v
-			if elems > maxPartialSize/8 {
+			if elems > uint64(br.Len())/8 {
 				return e, fmt.Errorf("%w: entry too large", ErrCorruptPartial)
 			}
 		}
